@@ -21,13 +21,14 @@ test-short:
 test-race:
 	$(GO) test -race -short ./...
 
-# Deep race stress for the parallel engine paths (sharded advance,
-# parallel querying dispatch, sub-shard splitting, streaming): force 4
-# scheduler threads so the worker pool really interleaves, even on
-# boxes where GOMAXPROCS would default lower.
+# Deep race stress for the engine's one parallel path (oblivious
+# sharded replay) and the sequential paths that must ignore Workers
+# (querying dispatch, streaming): force 4 scheduler threads so the
+# worker pool really interleaves, even on boxes where GOMAXPROCS would
+# default lower.
 test-race-parallel:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		-run 'Shard|Split|Stream|Parallel|FStat' ./internal/sim ./internal/scenario
+		-run 'Shard|Stream|Parallel|FStat' ./internal/sim ./internal/scenario
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

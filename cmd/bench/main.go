@@ -50,14 +50,8 @@
 //	                   topology — the baseline the sharded rows divide by
 //	engine/sharded     subtree-sharded engine at Workers = GOMAXPROCS on
 //	                   the same wide workload (bit-identical schedule)
-//	engine/dispatch-warm      sequential state-querying (greedy) dispatch
-//	                          on the wide topology — the baseline the
-//	                          dispatch-parallel row divides by
-//	engine/dispatch-parallel  the same greedy workload at
-//	                          Workers = GOMAXPROCS: shards advance in
-//	                          parallel between arrivals while the
-//	                          F-statistic queries and commits stay in
-//	                          arrival order (bit-identical schedule)
+//	engine/dispatch-warm      state-querying (greedy) dispatch on the
+//	                          wide topology (always sequential)
 //	engine/dispatch-deep      greedy dispatch on a deep, narrow
 //	                          topology (depth-6 root-to-leaf paths):
 //	                          store-and-forward hop work dominates, so
@@ -65,10 +59,8 @@
 //	                          path-query and reschedule machinery the
 //	                          wide row under-weights
 //	engine/skew-sharded  skewed topology (one fat root-child subtree)
-//	                     at Workers = GOMAXPROCS with root-child
-//	                     sharding only — the fat shard serializes
-//	engine/skew-split    the same skewed workload with SplitShards on,
-//	                     so the fat subtree splits into sub-shards
+//	                     at Workers = GOMAXPROCS — the fat shard
+//	                     serializes
 //	scenario/run       declarative layer: scenario.Runner on the same
 //	                   workload as engine/warm (overhead shows as the
 //	                   delta between the two rows)
@@ -102,6 +94,7 @@
 // Server kernels also report allocs_per_job (allocs/op divided by the
 // trace length), the per-job serving-path allocation cost the
 // -serve-smoke probe bounds.
+//
 //	rng_partition/legacy  generate a 2,000-job workload (sizes and
 //	                      weights) from a legacy partition, where every
 //	                      stream name aliases one shared state
@@ -116,14 +109,14 @@
 // deterministic event count, so throughput is comparable across
 // machines independently of the workload mix. The JSON additionally
 // carries a stream_memory table (peak heap of the bounded-retention
-// run at 100k and 1M jobs — flat is the point) and two
-// cores-vs-throughput scaling tables: engine/sharded (oblivious
-// dispatch) and engine/dispatch-parallel (greedy, state-querying
-// dispatch) rerun at every worker count from 1 to GOMAXPROCS. On a
-// single-core machine the scaling tables are omitted (there is no
-// parallelism to measure) and scaling_note says so; when GOMAXPROCS
-// exceeds the physical core count (num_cpu) the tables are present
-// but scaling_note flags that the workers time-share.
+// run at 100k and 1M jobs — flat is the point) and a
+// cores-vs-throughput scaling table: engine/sharded (oblivious
+// dispatch, the engine's only parallel path) rerun at every worker
+// count from 1 to GOMAXPROCS. On a single-core machine the scaling
+// table is omitted (there is no parallelism to measure) and
+// scaling_note says so; when GOMAXPROCS exceeds the physical core
+// count (num_cpu) the table is present but scaling_note flags that the
+// workers time-share.
 package main
 
 import (
@@ -172,22 +165,8 @@ type benchFile struct {
 	// workers=1 row of this table. Omitted when GOMAXPROCS is 1 (see
 	// ScalingNote).
 	Scaling []scalingRow `json:"scaling,omitempty"`
-	// DispatchScaling is the same table for state-querying (greedy)
-	// dispatch: the engine/dispatch-parallel kernel rerun at each
-	// worker count. Its ceiling is lower than oblivious dispatch's
-	// because every arrival is a barrier (advance shards to the
-	// release time, then query and commit sequentially).
-	DispatchScaling []scalingRow `json:"dispatch_scaling,omitempty"`
 	// ScalingNote explains absent (or time-shared) scaling tables.
 	ScalingNote string `json:"scaling_note,omitempty"`
-	// SkewBalance records the structural load balance of the skew
-	// kernels with and without sub-shard splitting: the shard count
-	// and the largest shard's share of the leaves. The largest share
-	// is the serial fraction of a sharded run, so it bounds the
-	// achievable parallel speedup independently of this machine's
-	// core count (which is why it is reported even where the timing
-	// rows cannot show a speedup).
-	SkewBalance []skewBalanceRow `json:"skew_balance,omitempty"`
 	// DispatchBaseline is the before/after record for the v9 dispatch
 	// fast path (epoch-memoized path queries, bound-pruned greedy
 	// descent, incremental fstat maintenance): each engine/dispatch-*
@@ -219,12 +198,6 @@ const (
 	dispatchDeepOldABNs  = 9_480_000
 	dispatchDeepNewABNs  = 6_070_000
 )
-
-type skewBalanceRow struct {
-	SplitShards       int     `json:"split_shards"`
-	Shards            int     `json:"shards"`
-	MaxShardLeafShare float64 `json:"max_shard_leaf_share"`
-}
 
 type streamMemRow struct {
 	Jobs          int    `json:"jobs"`
@@ -309,7 +282,7 @@ func main() {
 	if *dispatchOnly {
 		// Profiling loop: only the dispatch kernels run and nothing is
 		// written, so a partial result can never clobber BENCH_9.json.
-		kernels, _, _, err := buildKernels(*seed, *scale, 0)
+		kernels, _, err := buildKernels(*seed, *scale, 0)
 		if err != nil {
 			fatal(err)
 		}
@@ -337,7 +310,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "stream-memory jobs=%-8d %12d B peak heap\n", row.Jobs, row.PeakHeapBytes)
 	}
 
-	kernels, scaling, dispatchScaling, err := buildKernels(*seed, *scale, streamRows[1].Events)
+	kernels, scaling, err := buildKernels(*seed, *scale, streamRows[1].Events)
 	if err != nil {
 		fatal(err)
 	}
@@ -403,11 +376,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "engine/sharded workers=%-2d %12.0f ns/op %14.0f events/sec %6.2fx\n",
 				row.Workers, row.NsPerOp, row.EventsPerSec, row.Speedup)
 		}
-		doc.DispatchScaling = dispatchScaling()
-		for _, row := range doc.DispatchScaling {
-			fmt.Fprintf(os.Stderr, "engine/dispatch-parallel workers=%-2d %12.0f ns/op %14.0f events/sec %6.2fx\n",
-				row.Workers, row.NsPerOp, row.EventsPerSec, row.Speedup)
-		}
 		if doc.GOMAXPROCS > doc.NumCPU {
 			doc.ScalingNote = fmt.Sprintf("GOMAXPROCS=%d exceeds num_cpu=%d: scaling rows time-share the physical cores, so speedups bound coordination overhead rather than measuring parallel gain",
 				doc.GOMAXPROCS, doc.NumCPU)
@@ -416,17 +384,8 @@ func main() {
 	} else {
 		// One core: every worker count would time the same sequential
 		// schedule, so a "speedup" column would only report noise.
-		doc.ScalingNote = "GOMAXPROCS=1: cores-vs-throughput tables omitted (single core, no parallel speedup to measure)"
+		doc.ScalingNote = "GOMAXPROCS=1: cores-vs-throughput table omitted (single core, no parallel speedup to measure)"
 		fmt.Fprintln(os.Stderr, "bench: note:", doc.ScalingNote)
-	}
-	for _, split := range []int{0, skewSplit} {
-		row, err := skewBalance(split)
-		if err != nil {
-			fatal(err)
-		}
-		doc.SkewBalance = append(doc.SkewBalance, row)
-		fmt.Fprintf(os.Stderr, "skew-balance split=%-2d shards=%-2d max shard leaf share %.3f\n",
-			row.SplitShards, row.Shards, row.MaxShardLeafShare)
 	}
 
 	if *memProfile != "" {
@@ -540,22 +499,21 @@ func regressions(baseline, current *benchFile, threshold float64) []string {
 	return out
 }
 
-// buildKernels constructs the kernel set plus the deferred scaling
-// tables — oblivious (engine/sharded) and state-querying
-// (engine/dispatch-parallel) — deferred so their timed runs happen
+// buildKernels constructs the kernel set plus the deferred oblivious
+// (engine/sharded) scaling table, deferred so its timed runs happen
 // after the named kernels, matching the output order. The engine
 // workload is fixed (seed-derived) so one calibration run yields the
 // event count every timed iteration will reproduce; streamEvents is
 // the stream-1M kernel's count, calibrated by the stream-memory probe.
-func buildKernels(seed uint64, scale float64, streamEvents int64) ([]kernel, func() []scalingRow, func() []scalingRow, error) {
+func buildKernels(seed uint64, scale float64, streamEvents int64) ([]kernel, func() []scalingRow, error) {
 	t := treesched.FatTree(2, 2, 2)
 	tr, err := treesched.PoissonTrace(seed+41, 2000, 0.95, t)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	calib, err := treesched.Run(t, tr, treesched.NewGreedyIdentical(0.5), treesched.Options{})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	events := calib.Stats.Events
 
@@ -620,11 +578,11 @@ func buildKernels(seed uint64, scale float64, streamEvents int64) ([]kernel, fun
 	}
 	r, err := treesched.NewScenarioRunner(sc)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	scCalib, err := r.Run()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	ks = append(ks, kernel{
 		name:   "scenario/run",
@@ -666,7 +624,7 @@ func buildKernels(seed uint64, scale float64, streamEvents int64) ([]kernel, fun
 	for _, id := range []string{"T1", "B3"} {
 		e, err := experiments.ByID(id)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		ks = append(ks, kernel{
 			name: "experiments/" + id,
@@ -693,11 +651,11 @@ func buildKernels(seed uint64, scale float64, streamEvents int64) ([]kernel, fun
 	wide := treesched.FatTree(8, 1, 2)
 	wideTr, err := treesched.PoissonTrace(seed+43, 4000, 0.95, wide)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	wideCalib, err := treesched.Run(wide, wideTr, &treesched.RoundRobin{}, treesched.Options{})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	wideEvents := wideCalib.Stats.Events
 	warmShardedFn := func(workers int) func(b *testing.B) {
@@ -720,35 +678,26 @@ func buildKernels(seed uint64, scale float64, streamEvents int64) ([]kernel, fun
 		kernel{name: "engine/sharded", events: wideEvents, fn: warmShardedFn(maxWorkers)},
 	)
 
-	// The dispatch rows run the same wide workload under the greedy
-	// (state-querying) assigner: arrivals are commit barriers, so the
-	// parallelism is in advancing shards between arrivals, not in
-	// dispatch itself. The schedule is bit-identical to the sequential
-	// dispatch-warm row at every worker count.
+	// The dispatch-warm row runs the same wide workload under the
+	// greedy (state-querying) assigner, which always replays
+	// sequentially.
 	dispatchCalib, err := treesched.Run(wide, wideTr, treesched.NewGreedyIdentical(0.5), treesched.Options{})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	dispatchEvents := dispatchCalib.Stats.Events
-	dispatchFn := func(workers int) func(b *testing.B) {
-		opts := treesched.Options{Workers: workers}
-		return func(b *testing.B) {
-			s := treesched.NewSim(wide, opts)
-			asg := treesched.NewGreedyIdentical(0.5)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Reset(opts)
-				if _, err := treesched.RunOn(s, wideTr, asg); err != nil {
-					b.Fatal(err)
-				}
+	ks = append(ks, kernel{name: "engine/dispatch-warm", events: dispatchCalib.Stats.Events, fn: func(b *testing.B) {
+		opts := treesched.Options{Workers: 1}
+		s := treesched.NewSim(wide, opts)
+		asg := treesched.NewGreedyIdentical(0.5)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Reset(opts)
+			if _, err := treesched.RunOn(s, wideTr, asg); err != nil {
+				b.Fatal(err)
 			}
 		}
-	}
-	ks = append(ks,
-		kernel{name: "engine/dispatch-warm", events: dispatchEvents, fn: dispatchFn(1)},
-		kernel{name: "engine/dispatch-parallel", events: dispatchEvents, fn: dispatchFn(maxWorkers)},
-	)
+	}})
 
 	// The dispatch-deep row runs the greedy assigner on a deep, narrow
 	// topology (two branches, depth-6 root-to-leaf paths): each job
@@ -759,11 +708,11 @@ func buildKernels(seed uint64, scale float64, streamEvents int64) ([]kernel, fun
 	deep := treesched.FatTree(2, 5, 1)
 	deepTr, err := treesched.PoissonTrace(seed+71, 4000, 0.95, deep)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	deepCalib, err := treesched.Run(deep, deepTr, treesched.NewGreedyIdentical(0.5), treesched.Options{})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	ks = append(ks, kernel{name: "engine/dispatch-deep", events: deepCalib.Stats.Events, fn: func(b *testing.B) {
 		opts := treesched.Options{Workers: 1}
@@ -779,40 +728,32 @@ func buildKernels(seed uint64, scale float64, streamEvents int64) ([]kernel, fun
 		}
 	}})
 
-	// The skew rows compare root-child sharding against sub-shard
-	// splitting on a deliberately unbalanced topology: one fat
-	// root-child subtree (6 routers x 4 leaves) holding 24 of 28
-	// leaves, plus two 2-leaf siblings. Without splitting the fat
-	// shard serializes ~6/7 of the work no matter how many workers
-	// run; SplitShards=4 breaks it into a head plus six sub-shards.
+	// The skew row runs root-child sharding on a deliberately
+	// unbalanced topology: one fat root-child subtree (6 routers x 4
+	// leaves) holding 24 of 28 leaves, plus two 2-leaf siblings, so the
+	// fat shard serializes ~6/7 of the work no matter how many workers
+	// run.
 	skew := skewTree()
 	skewTr, err := treesched.PoissonTrace(seed+53, 4000, 0.95, skew)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	skewCalib, err := treesched.Run(skew, skewTr, &treesched.RoundRobin{}, treesched.Options{})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	skewEvents := skewCalib.Stats.Events
-	skewFn := func(split int) func(b *testing.B) {
-		opts := treesched.Options{Workers: maxWorkers, SplitShards: split}
-		return func(b *testing.B) {
-			s := treesched.NewSim(skew, opts)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Reset(opts)
-				if _, err := treesched.RunOn(s, skewTr, &treesched.RoundRobin{}); err != nil {
-					b.Fatal(err)
-				}
+	ks = append(ks, kernel{name: "engine/skew-sharded", events: skewCalib.Stats.Events, fn: func(b *testing.B) {
+		opts := treesched.Options{Workers: maxWorkers}
+		s := treesched.NewSim(skew, opts)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Reset(opts)
+			if _, err := treesched.RunOn(s, skewTr, &treesched.RoundRobin{}); err != nil {
+				b.Fatal(err)
 			}
 		}
-	}
-	ks = append(ks,
-		kernel{name: "engine/skew-sharded", events: skewEvents, fn: skewFn(0)},
-		kernel{name: "engine/skew-split", events: skewEvents, fn: skewFn(skewSplit)},
-	)
+	}})
 
 	// The fleet kernel times the co-simulation layer end to end: one
 	// iteration generates the front-door workload, routes it across
@@ -821,7 +762,7 @@ func buildKernels(seed uint64, scale float64, streamEvents int64) ([]kernel, fun
 	flSc := fleetScenario(seed)
 	flCalib, err := treesched.RunFleet(flSc, treesched.FleetOptions{Workers: maxWorkers})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	var flEvents int64
 	for i := range flCalib.Trees {
@@ -850,11 +791,11 @@ func buildKernels(seed uint64, scale float64, streamEvents int64) ([]kernel, fun
 	srvSc := serveScenario()
 	srvIn, err := srvSc.Build()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	srvTr, err := treesched.PoissonTrace(seed+67, serveBenchJobs, 0.95, srvIn.Tree)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	// One prebuilt instance shared by every iteration's daemon, the
 	// same way direct-stream shares srvIn.Tree across runs: the
@@ -1002,67 +943,25 @@ func buildKernels(seed uint64, scale float64, streamEvents int64) ([]kernel, fun
 		})},
 	)
 
-	scalingTable := func(events int64, fn func(int) func(b *testing.B)) func() []scalingRow {
-		return func() []scalingRow {
-			var rows []scalingRow
-			for w := 1; w <= maxWorkers; w *= 2 {
-				r := testing.Benchmark(fn(w))
-				ns := float64(r.T.Nanoseconds()) / float64(r.N)
-				row := scalingRow{Workers: w, NsPerOp: ns, EventsPerSec: float64(events) * 1e9 / ns}
-				if len(rows) == 0 {
-					row.Speedup = 1
-				} else {
-					row.Speedup = rows[0].NsPerOp / ns
-				}
-				rows = append(rows, row)
-				if w < maxWorkers && w*2 > maxWorkers {
-					w = maxWorkers / 2 // make the last iteration land on maxWorkers
-				}
+	scaling := func() []scalingRow {
+		var rows []scalingRow
+		for w := 1; w <= maxWorkers; w *= 2 {
+			r := testing.Benchmark(warmShardedFn(w))
+			ns := float64(r.T.Nanoseconds()) / float64(r.N)
+			row := scalingRow{Workers: w, NsPerOp: ns, EventsPerSec: float64(wideEvents) * 1e9 / ns}
+			if len(rows) == 0 {
+				row.Speedup = 1
+			} else {
+				row.Speedup = rows[0].NsPerOp / ns
 			}
-			return rows
-		}
-	}
-	return ks, scalingTable(wideEvents, warmShardedFn), scalingTable(dispatchEvents, dispatchFn), nil
-}
-
-// skewSplit is the SplitShards threshold the skew kernels use: the
-// fat subtree (24 leaves, 6 children) splits, the 2-leaf siblings do
-// not.
-const skewSplit = 4
-
-// skewBalance mirrors the engine's partition rule on the skew
-// topology and reports the shard count plus the largest shard's leaf
-// share. The count is cross-checked against the engine's NumShards so
-// the mirror cannot drift from the real rule silently.
-func skewBalance(split int) (skewBalanceRow, error) {
-	t := skewTree()
-	total := len(t.Leaves())
-	var shardLeaves []int
-	for _, h := range t.RootAdjacent() {
-		sub := t.SubtreeLeaves(h)
-		if kids := t.Children(h); split > 0 && len(sub) > split && len(kids) >= 2 {
-			shardLeaves = append(shardLeaves, 0) // the head shard holds only h
-			for _, c := range kids {
-				shardLeaves = append(shardLeaves, len(t.SubtreeLeaves(c)))
+			rows = append(rows, row)
+			if w < maxWorkers && w*2 > maxWorkers {
+				w = maxWorkers / 2 // make the last iteration land on maxWorkers
 			}
-		} else {
-			shardLeaves = append(shardLeaves, len(sub))
 		}
+		return rows
 	}
-	if got := treesched.NewSim(t, treesched.Options{SplitShards: split}).NumShards(); got != len(shardLeaves) {
-		return skewBalanceRow{}, fmt.Errorf("skew balance: partition mirror has %d shards, engine has %d", len(shardLeaves), got)
-	}
-	maxLeaves := 0
-	for _, n := range shardLeaves {
-		if n > maxLeaves {
-			maxLeaves = n
-		}
-	}
-	return skewBalanceRow{
-		SplitShards:       split,
-		Shards:            len(shardLeaves),
-		MaxShardLeafShare: float64(maxLeaves) / float64(total),
-	}, nil
+	return ks, scaling, nil
 }
 
 // skewTree builds the deliberately unbalanced skew-kernel topology:

@@ -28,9 +28,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strconv"
+	"strings"
 
-	"treesched/internal/cli"
 	"treesched/internal/rng"
 	"treesched/internal/scenario"
 	"treesched/internal/workload"
@@ -105,12 +107,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Seed: *seed,
 		}
 		if *unrelated != "" {
-			ucfg, err := cli.ParseUnrelated(*unrelated)
-			if err != nil {
+			if sc.Workload.Unrelated, err = parseUnrelated(*unrelated); err != nil {
 				return fail(err)
-			}
-			sc.Workload.Unrelated = &scenario.Unrelated{
-				Lo: ucfg.Lo, Hi: ucfg.Hi, Leaves: ucfg.Leaves,
 			}
 		}
 	}
@@ -157,4 +155,34 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "tracegen: %d jobs, total work %.4g, span %.4g, mean size %.4g, max size %.4g, offered %.4g/s\n",
 		st.Jobs, st.TotalWork, st.Span, st.MeanSize, st.MaxSize, st.OfferedPerSec)
 	return 0
+}
+
+// parseUnrelated parses the -unrelated flag's "LEAVES:lo,hi" spec.
+// Non-finite bounds are rejected here: they would otherwise yield
+// infinite or NaN leaf sizes that only fail when the trace is encoded.
+func parseUnrelated(spec string) (*scenario.Unrelated, error) {
+	leavesStr, rangeStr, ok := strings.Cut(spec, ":")
+	if !ok {
+		return nil, fmt.Errorf("-unrelated: spec %q wants LEAVES:lo,hi", spec)
+	}
+	leaves, err := strconv.Atoi(leavesStr)
+	if err != nil {
+		return nil, fmt.Errorf("-unrelated: leaves %q: %w", leavesStr, err)
+	}
+	parts := strings.Split(rangeStr, ",")
+	if len(parts) != 2 {
+		return nil, fmt.Errorf("-unrelated: range %q wants lo,hi", rangeStr)
+	}
+	var bounds [2]float64
+	for i, name := range []string{"lo", "hi"} {
+		v, err := strconv.ParseFloat(strings.TrimSpace(parts[i]), 64)
+		if err != nil {
+			return nil, fmt.Errorf("-unrelated: %s: %w", name, err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("-unrelated: %s %v is not finite", name, v)
+		}
+		bounds[i] = v
+	}
+	return &scenario.Unrelated{Lo: bounds[0], Hi: bounds[1], Leaves: leaves}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"treesched/internal/scenario"
 	"treesched/internal/workload"
 )
 
@@ -128,5 +129,43 @@ func TestRunStreamBursty(t *testing.T) {
 	}
 	if got := strings.Count(strings.TrimRight(out, "\n"), "\n") + 1; got != 30 {
 		t.Fatalf("NDJSON has %d lines, want 30", got)
+	}
+}
+
+func TestParseUnrelated(t *testing.T) {
+	got, err := parseUnrelated("8:0.5,2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (scenario.Unrelated{Leaves: 8, Lo: 0.5, Hi: 2}); *got != want {
+		t.Fatalf("parsed %+v, want %+v", *got, want)
+	}
+	for _, c := range []struct{ spec, want string }{
+		{"8", `-unrelated: spec "8" wants LEAVES:lo,hi`},
+		{"x:1,2", `-unrelated: leaves "x": strconv.Atoi: parsing "x": invalid syntax`},
+		{"8:1", `-unrelated: range "1" wants lo,hi`},
+		{"8:a,b", `-unrelated: lo: strconv.ParseFloat: parsing "a": invalid syntax`},
+	} {
+		_, err := parseUnrelated(c.spec)
+		if err == nil || err.Error() != c.want {
+			t.Fatalf("spec %q: error %v, want %q", c.spec, err, c.want)
+		}
+	}
+}
+
+// Non-finite affinity bounds must be refused before any trace is
+// written, naming the flag, rather than failing in the JSON encoder.
+func TestRunUnrelatedRejectsNonFinite(t *testing.T) {
+	for _, spec := range []string{"4:NaN,2", "4:1,Inf", "4:-Inf,2"} {
+		code, out, errw := exec(t, "-n", "3", "-unrelated", spec)
+		if code != 1 {
+			t.Fatalf("%s: exit %d, want 1 (stderr %q)", spec, code, errw)
+		}
+		if out != "" {
+			t.Fatalf("%s: wrote a trace before failing: %q", spec, out)
+		}
+		if !strings.Contains(errw, "-unrelated") || !strings.Contains(errw, "not finite") {
+			t.Fatalf("%s: stderr does not name the flag and the cause: %q", spec, errw)
+		}
 	}
 }

@@ -6,7 +6,7 @@
 //	treesched -topo fattree:2,2,2 -n 2000 -load 0.9 -assigner greedy \
 //	          -policy sjf -speed 1.5 -eps 0.5 -seed 1 [-unrelated]
 //	          [-faults outages:4,50] [-recovery redispatch] [-audit]
-//	          [-shards 0] [-split 8] [-render] [-gantt] [-trace jobs.json]
+//	          [-shards 0] [-render] [-gantt] [-trace jobs.json]
 //	          [-stream] [-retain 1000]
 //	treesched -scenario run.json            # or a compact one-liner file
 //	treesched -topo star:4 -n 500 -dump-scenario > run.json
@@ -89,10 +89,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fleetWorkers := fs.Int("fleetworkers", 0, "trees simulated concurrently in a fleet run (0 = auto; results identical at any value)")
 	scorecardOut := fs.String("scorecard", "", "write the fleet scorecard as JSON to this file")
 	var shards int
-	const shardsHelp = "subtree-shard worker count: 0 = auto (GOMAXPROCS), 1 = sequential (results are identical either way)"
+	const shardsHelp = "subtree-shard worker count for oblivious assigners (state-querying assigners and -stream always run sequentially): 0 = auto (GOMAXPROCS), 1 = sequential (results are identical either way)"
 	fs.IntVar(&shards, "shards", 1, shardsHelp)
 	fs.IntVar(&shards, "parallel", 1, shardsHelp+" (alias of -shards)")
-	split := fs.Int("split", 0, "split root-child subtrees with more than this many leaves into per-child sub-shards (0 = off; per-job metrics exact, aggregate integrals may drift in the last ulps)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -109,13 +108,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Whether -shards/-parallel (and the streaming knobs) were given
 	// explicitly decides if they override a scenario file's engine
 	// settings.
-	shardsSet, splitSet, streamSet, retainSet := false, false, false, false
+	shardsSet, streamSet, retainSet := false, false, false
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "shards", "parallel":
 			shardsSet = true
-		case "split":
-			splitSet = true
 		case "stream":
 			streamSet = true
 		case "retain":
@@ -134,9 +131,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if shardsSet {
 			sc.Engine.Shards = shards
-		}
-		if splitSet {
-			sc.Engine.Split = *split
 		}
 		if streamSet {
 			sc.Engine.Stream = *stream
@@ -165,7 +159,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				Packetized: *packetized,
 				Instrument: *gantt || *checkLemmas,
 				Shards:     shards,
-				Split:      *split,
 				Stream:     *stream,
 				RetainJobs: *retain,
 			},

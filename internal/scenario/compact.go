@@ -19,7 +19,7 @@ import (
 //
 // Keys: name topo process n size class load cap related unrelated
 // round maxweight policy assigner eps seed rng aseed speed speeds
-// horizon faults recovery fleet fleetpolicy trees shards split retain
+// horizon faults recovery fleet fleetpolicy trees shards retain
 // and the flags packetized instrument scanqueue slices stream serve.
 // Inline fault events, like inline jobs, are JSON-only. trees= lists
 // per-tree topology specs separated by semicolons
@@ -133,9 +133,6 @@ func (sc *Scenario) Compact() (string, error) {
 	}
 	if sc.Engine.Shards != 0 {
 		add("shards", strconv.Itoa(sc.Engine.Shards))
-	}
-	if sc.Engine.Split != 0 {
-		add("split", strconv.Itoa(sc.Engine.Split))
 	}
 	if sc.Engine.RetainJobs != 0 {
 		add("retain", strconv.Itoa(sc.Engine.RetainJobs))
@@ -279,8 +276,6 @@ func (sc *Scenario) setCompact(key, val string) error {
 		sc.Horizon, err = strconv.Atoi(val)
 	case "shards":
 		sc.Engine.Shards, err = strconv.Atoi(val)
-	case "split":
-		sc.Engine.Split, err = strconv.Atoi(val)
 	case "retain":
 		sc.Engine.RetainJobs, err = strconv.Atoi(val)
 	case "faults":

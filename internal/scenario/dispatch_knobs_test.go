@@ -54,7 +54,7 @@ func TestDispatchKnobsDifferential(t *testing.T) {
 	assigners := []string{"greedy", "shadow", "jsq", "leastvolume"}
 	faultSpecs := []string{"", "", "faults=outages:3,6", "faults=brownouts:3,6,0.5",
 		"faults=leafloss:1,0.6 recovery=redispatch", "faults=leafloss:1,0.6 recovery=hold"}
-	variants := []string{"", "", "split=2", "stream"}
+	variants := []string{"", "", "", "stream"}
 
 	r := rng.New(97)
 	pick := func(xs []string) string { return xs[int(r.Uint64()%uint64(len(xs)))] }

@@ -127,7 +127,6 @@ func (sc *Scenario) Build() (*Instance, error) {
 			UseScanQueue: sc.Engine.ScanQueue,
 			RecordSlices: sc.Engine.RecordSlices,
 			Workers:      sc.Engine.Shards,
-			SplitShards:  sc.Engine.Split,
 			RetainJobs:   sc.Engine.RetainJobs,
 		},
 		workload: w,

@@ -254,15 +254,10 @@ type Engine struct {
 	// RecordSlices records the execution slices (Gantt input).
 	RecordSlices bool `json:"record_slices,omitempty"`
 	// Shards sets sim.Options.Workers: the worker count for the
-	// subtree-sharded engine (0 or 1 = sequential). Results are
+	// subtree-sharded engine (0 or 1 = sequential), which only
+	// oblivious assigners on a materialized trace use. Results are
 	// bit-identical either way; this is purely a speed knob.
 	Shards int `json:"shards,omitempty"`
-	// Split sets sim.Options.SplitShards: a root-child subtree with
-	// more than Split leaves is split into per-grandchild sub-shards
-	// so skewed trees still parallelize (0 = off). Per-job results
-	// are bit-identical; aggregate flow-time integrals may differ in
-	// the last ulps.
-	Split int `json:"split,omitempty"`
 	// Stream runs the scenario through the streaming pipeline
 	// (sim.RunStream): when the workload admits it, arrivals are
 	// drawn from an ArrivalSource one job at a time and the trace is

@@ -16,9 +16,9 @@ import (
 // metrics, summary stats, slice logs, and even error strings for runs
 // that legitimately fail (leaf loss under hold). The assigner pool
 // includes the state-querying dispatchers (greedy, shadow, jsq,
-// leastvolume), so parallel querying dispatch is covered alongside
-// oblivious replay; the engine variants mix in the streaming pipeline
-// and sub-shard splitting. Each case also runs a sequential reference
+// leastvolume), which must ignore the worker count, alongside the
+// oblivious ones, which replay in parallel; the engine variants mix in
+// the streaming pipeline. Each case also runs a sequential reference
 // with the dispatch memo and bound pruning force-disabled, pinning
 // the fast paths to the straight-line code bit for bit. Under
 // `go test -race` this doubles as the data-race stress for the
@@ -29,7 +29,7 @@ func TestShardedScenarioEquivalence(t *testing.T) {
 	assigners := []string{"greedy", "shadow", "roundrobin", "random", "closest", "leastvolume", "minpath", "jsq"}
 	faultSpecs := []string{"", "", "faults=outages:3,6", "faults=brownouts:3,6,0.5",
 		"faults=leafloss:1,0.6 recovery=redispatch", "faults=leafloss:1,0.6 recovery=hold"}
-	variants := []string{"", "", "split=2", "stream", "stream split=3"}
+	variants := []string{"", "", "", "stream", "stream"}
 
 	r := rng.New(42)
 	pick := func(xs []string) string { return xs[int(r.Uint64()%uint64(len(xs)))] }

@@ -115,11 +115,6 @@ func (s *Sim) AuditShard(k int) *AuditReport {
 	if len(s.migrations) > 0 {
 		panic("sim: AuditShard is undefined across recovery migrations; audit the full run")
 	}
-	if s.split() {
-		// Under sub-shard splitting a task's slices span the head shard
-		// and its leaf's sub-shard, so no single shard log covers it.
-		panic("sim: AuditShard is undefined under sub-shard splitting; audit the full run")
-	}
 	slices := s.shards[k].slices
 	var tasks []*JobState
 	for _, js := range s.tasks {

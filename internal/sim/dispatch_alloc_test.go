@@ -32,20 +32,23 @@ func (greedyProbe) Assign(q *Query, a *Arrival) tree.NodeID {
 // Warm state-querying dispatch must be allocation-free: the epoch
 // memo, the fstat snapshots (sorted window, key mirror, prefix
 // chains) and the engine-owned Query view all live in reusable
-// arenas, so steady state allocates nothing at all.
+// arenas, so steady state allocates nothing at all. Querying dispatch
+// ignores Workers, so the pin holds at any worker count.
 func TestDispatchSteadyStateAllocs(t *testing.T) {
 	tr := tree.FatTree(8, 1, 2)
 	trace := shardTestTrace(t, 11, 400, 8)
-	opts := Options{}
-	s := New(tr, opts)
-	replay := func() {
-		s.Reset(opts)
-		if err := ReplayOn(s, trace, greedyProbe{}); err != nil {
-			t.Fatal(err)
+	for _, workers := range []int{1, 4} {
+		opts := Options{Workers: workers}
+		s := New(tr, opts)
+		replay := func() {
+			s.Reset(opts)
+			if err := ReplayOn(s, trace, greedyProbe{}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	replay() // warm the arenas
-	if allocs := testing.AllocsPerRun(20, replay); allocs != 0 {
-		t.Fatalf("warm querying dispatch allocates %.1f allocs/run, want 0", allocs)
+		replay() // warm the arenas
+		if allocs := testing.AllocsPerRun(20, replay); allocs != 0 {
+			t.Fatalf("workers=%d: warm querying dispatch allocates %.1f allocs/run, want 0", workers, allocs)
+		}
 	}
 }

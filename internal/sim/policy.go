@@ -164,8 +164,8 @@ type Assigner interface {
 // round-robin cursor, a seeded rng) — never on time-varying engine
 // state read through the Query. The sharded engine precomputes such
 // assignments sequentially in arrival order and then injects fully in
-// parallel per shard; assigners without the marker dispatch
-// sequentially and only the drain runs on the worker pool.
+// parallel per shard; assigners without the marker run sequentially
+// whatever Options.Workers says.
 // Implementations must uphold the contract: calling a state-reading
 // Query method from an assigner carrying this marker is a bug.
 type ObliviousAssigner interface {

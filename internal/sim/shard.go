@@ -15,19 +15,19 @@ import (
 // subtree (tree.Path starts at the root-adjacent ancestor), so after
 // dispatch the shards share no mutable state: each owns its clock,
 // event heap, fault-boundary cursor, flow-time accumulators, slice
-// log and task arena. Both execution modes step the identical
-// per-shard machines; only the stepping order differs, and every
-// quantity the engine reports is either per-task or merged across
-// shards in shard-index order — which is what makes parallel output
-// bit-identical to sequential output.
+// log and task arena. Sequential execution and oblivious parallel
+// replay step the identical per-shard machines; only the stepping
+// order differs, and every quantity the engine reports is either
+// per-task or merged across shards in shard-index order — which is
+// what makes parallel output bit-identical to sequential output.
 type shardState struct {
 	now float64
 	// epoch counts the shard's dispatch-relevant state changes (queue
 	// membership, running-task switches, clock movement); the per-node
 	// dispatchScratch memos stamp their answers with it. Only the
-	// owning goroutine writes it, and dispatch reads happen after the
-	// barrier joins, so it needs no synchronization. Reset bumps rather
-	// than zeroes it so stale stamps can never match.
+	// owning goroutine writes it, and dispatch queries only run in
+	// sequential execution, so it needs no synchronization. Reset
+	// bumps rather than zeroes it so stale stamps can never match.
 	epoch uint64
 	// events is a min-heap of scheduled node-finish events with lazy
 	// invalidation via nodeState.finishSeq.
@@ -62,32 +62,6 @@ type shardState struct {
 	// (shard-index-ordered) propagation after the join.
 	err      error
 	panicVal interface{}
-
-	// parent is the head shard feeding this sub-shard (-1 for
-	// top-level shards; see Sim.buildPartition). inbox is the
-	// time-sorted queue of tasks handed off by the parent, inboxIdx
-	// the consumed-prefix cursor. The parent is the only writer and
-	// runs strictly before this shard in parallel mode, so the inbox
-	// needs no synchronization.
-	parent   int32
-	inbox    []handoff
-	inboxIdx int
-}
-
-// handoff is one task in flight from a head shard to a child
-// sub-shard: the task finished on the head's node at time at and joins
-// its next node's queue at the same instant on the consumer side.
-type handoff struct {
-	at float64
-	js *JobState
-}
-
-// peekHandoff returns the shard's next unconsumed parent handoff.
-func (sh *shardState) peekHandoff() (handoff, bool) {
-	if sh.inboxIdx >= len(sh.inbox) {
-		return handoff{}, false
-	}
-	return sh.inbox[sh.inboxIdx], true
 }
 
 // peekBoundary returns the shard's next unapplied fault boundary.
@@ -167,7 +141,7 @@ func (sh *shardState) popEvent() finishEvent {
 	return top
 }
 
-// --- parallel execution ---
+// --- parallel oblivious replay ---
 
 // workerCount resolves Options.Workers against the shard count and
 // the configuration's eligibility: 1 means sequential.
@@ -193,10 +167,10 @@ func (s *Sim) workerCount() int {
 // runShardsParallel executes run(k) for every shard on up to `workers`
 // goroutines (the caller participates; extra workers try-acquire
 // Options.WorkerTokens when set and are skipped if the pool is
-// exhausted). Worker panics are captured per shard and re-raised on
-// the calling goroutine for the lowest panicking shard index, so
-// failure propagation is deterministic and *InternalError panics reach
-// the usual recoverInternal conversion.
+// exhausted), returning after all complete. Worker panics are captured
+// per shard and re-raised on the calling goroutine for the lowest
+// panicking shard index, so failure propagation is deterministic and
+// *InternalError panics reach the usual recoverInternal conversion.
 func (s *Sim) runShardsParallel(workers int, run func(k int)) {
 	s.par = true
 	defer func() { s.par = false }()
@@ -204,41 +178,16 @@ func (s *Sim) runShardsParallel(workers int, run func(k int)) {
 		s.shards[k].err = nil
 		s.shards[k].panicVal = nil
 	}
-	if s.split() {
-		// Sub-shards consume handoffs their head shards emit, so the
-		// waves are barrier-separated: every head finishes before any
-		// child starts, making each child's inbox complete and
-		// immutable when read.
-		s.runWave(workers, s.wave0, run)
-		s.runWave(workers, s.wave1, run)
-	} else {
-		s.runWave(workers, s.waveAll, run)
-	}
-	for k := range s.shards {
-		if r := s.shards[k].panicVal; r != nil {
-			s.shards[k].panicVal = nil
-			panic(r)
-		}
-	}
-}
-
-// runWave executes run(k) for every shard index in idxs on up to
-// `workers` goroutines, returning after all complete.
-func (s *Sim) runWave(workers int, idxs []int32, run func(k int)) {
-	if len(idxs) == 0 {
-		return
-	}
-	if workers > len(idxs) {
-		workers = len(idxs)
+	if workers > len(s.shards) {
+		workers = len(s.shards)
 	}
 	var next int64
 	work := func() {
 		for {
-			i := int(atomic.AddInt64(&next, 1)) - 1
-			if i >= len(idxs) {
+			k := int(atomic.AddInt64(&next, 1)) - 1
+			if k >= len(s.shards) {
 				return
 			}
-			k := int(idxs[i])
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
@@ -274,14 +223,12 @@ func (s *Sim) runWave(workers int, idxs []int32, run func(k int)) {
 	}
 	work()
 	wg.Wait()
-}
-
-// drainParallel is Drain with the per-shard event loops running on the
-// worker pool, followed by the shared end-of-run merge and checks.
-func (s *Sim) drainParallel(workers int) (err error) {
-	defer recoverInternal(&err)
-	s.runShardsParallel(workers, s.drainShard)
-	return s.finishDrain()
+	for k := range s.shards {
+		if r := s.shards[k].panicVal; r != nil {
+			s.shards[k].panicVal = nil
+			panic(r)
+		}
+	}
 }
 
 // growTasks resizes sl to n nil entries, reusing its capacity.
@@ -302,85 +249,6 @@ func growLeaves(sl []tree.NodeID, n int) []tree.NodeID {
 		return make([]tree.NodeID, n)
 	}
 	return sl[:n]
-}
-
-// shardPending reports whether shard k has work due at or before
-// target: a live finish event, an unapplied fault boundary, or an
-// unconsumed parent handoff. Stale events encountered while peeking
-// are popped, which is semantically a no-op (they would be skipped by
-// the event loop anyway).
-func (s *Sim) shardPending(k int, target float64) bool {
-	sh := &s.shards[k]
-	if ev, ok := s.nextEvent(sh); ok && ev.at <= target {
-		return true
-	}
-	if s.opts.Faults != nil {
-		if b, ok := sh.peekBoundary(); ok && b.At <= target {
-			return true
-		}
-	}
-	if h, ok := sh.peekHandoff(); ok && h.at <= target {
-		return true
-	}
-	return false
-}
-
-// advanceAllTo is AdvanceTo with the per-shard event loops running on
-// the worker pool — the epoch step of the parallel querying-dispatch
-// replay. Each shard processes exactly the per-shard event sequence it
-// would process sequentially, so the post-advance state is identical;
-// the fan-out is skipped when fewer than two shards have due work (the
-// common case between closely spaced arrivals), where goroutine
-// handoff would cost more than the events themselves.
-func (s *Sim) advanceAllTo(target float64, workers int) {
-	if target < s.now-timeEps {
-		panic(fmt.Sprintf("sim: AdvanceTo(%v) before now=%v", target, s.now))
-	}
-	busy := 0
-	for k := range s.shards {
-		if s.shardPending(k, target) {
-			if busy++; busy >= 2 {
-				break
-			}
-		}
-	}
-	if workers > 1 && busy >= 2 {
-		s.runShardsParallel(workers, func(k int) { s.advanceShardTo(k, target) })
-	} else {
-		for k := range s.shards {
-			s.advanceShardTo(k, target)
-		}
-	}
-	s.now = target
-}
-
-// replayQueryingParallel runs a trace with a state-querying assigner
-// on the worker pool: the commit sequence — query, Assign, Inject —
-// stays sequential in arrival order (the assigner must observe engine
-// state at each arrival exactly as in a sequential run), while the
-// event processing between consecutive arrivals fans out per shard via
-// advanceAllTo, as does the final drain. Queries run only between
-// epochs, when no worker is in flight, so the per-node F-statistic
-// snapshots are refreshed single-threaded; the per-shard event
-// machines see the same event sequences as the sequential engine, so
-// metrics, logs and error strings are bit-identical.
-func (s *Sim) replayQueryingParallel(trace *workload.Trace, asg Assigner, workers int) (err error) {
-	defer recoverInternal(&err)
-	t := s.tree
-	a := &s.scratchArrival
-	for i := range trace.Jobs {
-		j := &trace.Jobs[i]
-		if j.LeafSizes != nil && len(j.LeafSizes) != len(t.Leaves()) {
-			return fmt.Errorf("sim: job %d has %d leaf sizes for a %d-leaf tree", j.ID, len(j.LeafSizes), len(t.Leaves()))
-		}
-		s.advanceAllTo(j.Release, workers)
-		*a = Arrival{ID: j.ID, Release: j.Release, Size: j.Size, LeafSizes: j.LeafSizes, Origin: tree.NodeID(j.Origin), Weight: j.Weight}
-		leaf := asg.Assign(s.Query(), a)
-		if _, err := s.Inject(a, leaf); err != nil {
-			return fmt.Errorf("sim: assigner %q: %w", asg.Name(), err)
-		}
-	}
-	return s.drainParallel(workers)
 }
 
 // replayParallel runs a full trace with both injection and draining
@@ -432,7 +300,7 @@ func (s *Sim) replayShard(k int, trace *workload.Trace, asg Assigner) {
 		j := &trace.Jobs[i]
 		s.advanceShardTo(k, j.Release)
 		leaf := s.assignBuf[i]
-		if int(s.startShardOf(leaf, tree.NodeID(j.Origin))) != k {
+		if int(s.shardOf[leaf]) != k {
 			continue
 		}
 		w := j.Weight

@@ -25,7 +25,7 @@ func (o *oblRR) Assign(q *Query, _ *Arrival) tree.NodeID {
 }
 
 // leastVolume is a querying assigner (reads live engine state), so
-// replay dispatches sequentially and only the drain runs in parallel.
+// replay runs sequentially whatever Options.Workers says.
 type leastVolume struct{}
 
 func (leastVolume) Name() string { return "leastVolume" }
@@ -253,9 +253,9 @@ func (jsqLeaf) Assign(q *Query, a *Arrival) tree.NodeID {
 	return best
 }
 
-// The parallel querying-dispatch path (Workers > 1, no oblivious
-// marker) must be bit-identical to sequential across policies and a
-// second query mix; doubles as race-detector stress.
+// Querying dispatch ignores Workers: runs at any worker count must be
+// bit-identical to sequential across policies and a second query mix.
+// Doubles as race-detector stress.
 func TestShardedEquivalenceQueryingPolicies(t *testing.T) {
 	tr := tree.FatTree(8, 1, 2)
 	trace := shardTestTrace(t, 20, 400, 8)
@@ -266,7 +266,7 @@ func TestShardedEquivalenceQueryingPolicies(t *testing.T) {
 }
 
 // A querying assigner's injection errors must carry the same message
-// on the parallel dispatch path as on the sequential one.
+// at any worker count.
 type badQuerying struct{ node tree.NodeID }
 
 func (badQuerying) Name() string { return "badQuerying" }
@@ -289,9 +289,10 @@ func TestShardedQueryingAssignerError(t *testing.T) {
 	}
 }
 
-// Streaming entry points with a plain TraceSource and no hooks take
-// the sharded-parallel path; generator-fed full-retention runs advance
-// shards in parallel between arrivals. Both must equal sequential.
+// Streaming entry points ignore Workers for querying assigners: a
+// plain TraceSource with no hooks delegates to ReplayOn, and a
+// generator-fed full-retention run is always sequential. Both must
+// equal a Workers=1 run.
 func TestStreamParallelEquivalence(t *testing.T) {
 	tr := tree.FatTree(4, 2, 2)
 	trace := shardTestTrace(t, 22, 300, 4)
@@ -326,162 +327,5 @@ func TestStreamParallelEquivalence(t *testing.T) {
 	gpar := gen(4)
 	if !reflect.DeepEqual(gpar.Jobs, gseq.Jobs) || gpar.Stats != gseq.Stats {
 		t.Fatal("generator-fed streaming run differs from sequential")
-	}
-}
-
-// --- sub-shard splitting ---
-
-// skewedTree builds a deliberately unbalanced topology: one fat
-// root-child subtree (4 child routers x 4 leaves each) that would
-// serialize a root-child-partition run, plus a small 2-leaf sibling.
-func skewedTree() *tree.Tree {
-	b := tree.NewBuilder()
-	fat := b.AddRouter(b.Root())
-	for i := 0; i < 4; i++ {
-		c := b.AddRouter(fat)
-		for j := 0; j < 4; j++ {
-			b.AddLeaf(c)
-		}
-	}
-	small := b.AddRouter(b.Root())
-	b.AddLeaf(small)
-	b.AddLeaf(small)
-	return b.MustFinalize()
-}
-
-func TestSplitShardsPartition(t *testing.T) {
-	tr := skewedTree()
-	if n := New(tr, Options{}).NumShards(); n != 2 {
-		t.Fatalf("unsplit NumShards = %d, want 2", n)
-	}
-	// Threshold 4: the fat subtree (16 leaves, 4 children) splits into
-	// a head shard plus 4 sub-shards; the 2-leaf sibling does not.
-	if n := New(tr, Options{SplitShards: 4}).NumShards(); n != 6 {
-		t.Fatalf("split NumShards = %d, want 6", n)
-	}
-	// Threshold above every subtree's leaf count: no change.
-	if n := New(tr, Options{SplitShards: 100}).NumShards(); n != 2 {
-		t.Fatalf("high-threshold NumShards = %d, want 2", n)
-	}
-}
-
-// Sequential and parallel execution of the same split partition must
-// be bit-identical for oblivious and querying assigners alike.
-func TestSplitShardsEquivalence(t *testing.T) {
-	tr := skewedTree()
-	trace := shardTestTrace(t, 23, 400, 6)
-	opts := Options{SplitShards: 4, RecordSlices: true}
-	runModes(t, tr, trace, func() Assigner { return &oblRR{} }, opts, 2, 4, 6)
-	runModes(t, tr, trace, func() Assigner { return leastVolume{} }, opts, 2, 4, 6)
-}
-
-func TestSplitShardsFaults(t *testing.T) {
-	tr := skewedTree()
-	trace := shardTestTrace(t, 24, 300, 6)
-	fat := tr.RootAdjacent()[0]
-	fs := compile(t, tr,
-		faults.Event{Kind: faults.Outage, Node: fat, Start: 5, End: 9},
-		faults.Event{Kind: faults.Brownout, Node: tr.Leaves()[3], Start: 2, End: 40, Factor: 0.5},
-	)
-	opts := Options{SplitShards: 4, Faults: fs, RecordSlices: true}
-	runModes(t, tr, trace, func() Assigner { return &oblRR{} }, opts, 2, 4)
-	runModes(t, tr, trace, func() Assigner { return jsqLeaf{} }, opts, 2, 4)
-}
-
-// Against an unsplit run, per-job metrics are exactly equal (every
-// node sees identical arrival instants either way); the integral
-// statistics may differ in final ulps from the extra handoff
-// quadrature breakpoints, and the slice log records the same
-// processing at possibly coarser granularity (see below).
-func TestSplitVsUnsplitJobs(t *testing.T) {
-	tr := skewedTree()
-	trace := shardTestTrace(t, 25, 400, 6)
-	for _, mk := range []func() Assigner{
-		func() Assigner { return &oblRR{} },
-		func() Assigner { return leastVolume{} },
-	} {
-		base, err := Run(tr, trace, mk(), Options{RecordSlices: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		split, err := Run(tr, trace, mk(), Options{RecordSlices: true, SplitShards: 4, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(base.Jobs, split.Jobs) {
-			t.Fatal("per-job metrics differ between split and unsplit partitions")
-		}
-		rel := math.Abs(split.Stats.FracFlow-base.Stats.FracFlow) / math.Max(1, base.Stats.FracFlow)
-		if rel > 1e-9 {
-			t.Fatalf("FracFlow drifted beyond ulps: %v vs %v", split.Stats.FracFlow, base.Stats.FracFlow)
-		}
-		if split.Stats.Events != base.Stats.Events || split.Stats.Completed != base.Stats.Completed {
-			t.Fatalf("event/completion counts differ: %+v vs %+v", split.Stats, base.Stats)
-		}
-		// Slice logs are not entry-for-entry comparable across
-		// partitions (a head shard's single-node log merges adjacent
-		// slices that interleaved entries keep separate in the unsplit
-		// log); the processed time they record must agree.
-		sliceTime := func(sl []Slice) float64 {
-			var sum float64
-			for i := range sl {
-				sum += sl[i].To - sl[i].From
-			}
-			return sum
-		}
-		st, bt := sliceTime(split.Sim.Slices()), sliceTime(base.Sim.Slices())
-		if math.Abs(st-bt) > 1e-9*math.Max(1, bt) {
-			t.Fatalf("recorded processing time differs: %v vs %v", st, bt)
-		}
-	}
-}
-
-// The whole-run audit still passes under splitting; the per-shard
-// audit is undefined (a task's slices span head and sub-shard logs).
-func TestSplitAudit(t *testing.T) {
-	tr := skewedTree()
-	trace := shardTestTrace(t, 26, 200, 6)
-	res, err := Run(tr, trace, &oblRR{}, Options{SplitShards: 4, RecordSlices: true, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := res.Sim.Audit(); !rep.OK() {
-		t.Fatalf("audit of split run: %s", rep.Summary())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AuditShard did not panic under an active split partition")
-		}
-	}()
-	res.Sim.AuditShard(0)
-}
-
-// Reset across differing SplitShards values rebuilds the partition.
-func TestSplitReset(t *testing.T) {
-	tr := skewedTree()
-	trace := shardTestTrace(t, 27, 200, 6)
-	s := New(tr, Options{})
-	if _, err := RunOn(s, trace, &oblRR{}); err != nil {
-		t.Fatal(err)
-	}
-	s.Reset(Options{SplitShards: 4, Workers: 4})
-	if s.NumShards() != 6 {
-		t.Fatalf("NumShards after split Reset = %d, want 6", s.NumShards())
-	}
-	res, err := RunOn(s, trace, &oblRR{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := New(tr, Options{})
-	base, err := RunOn(s2, trace, &oblRR{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Jobs, base.Jobs) {
-		t.Fatal("jobs differ after Reset into a split partition")
-	}
-	s.Reset(Options{})
-	if s.NumShards() != 2 {
-		t.Fatalf("NumShards after unsplit Reset = %d, want 2", s.NumShards())
 	}
 }

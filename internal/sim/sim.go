@@ -130,10 +130,10 @@ type nodeState struct {
 // tests pin that equivalence.
 type dispatchScratch struct {
 	// epoch/size/release/id stamp the AvailStats record below.
-	epoch   uint64
-	size    float64
-	release float64
-	id      int
+	epoch     uint64
+	size      float64
+	release   float64
+	id        int
 	volHigher float64
 	count     int
 	// volEpoch stamps the argument-free AvailVolume record.
@@ -186,35 +186,21 @@ type Options struct {
 	// Recovery selects what happens to tasks assigned to a permanently
 	// lost leaf (RecoverHold when unset).
 	Recovery RecoveryPolicy
-	// Workers sets the sharded-execution budget. The engine always
-	// partitions the tree at the root's children into independent
-	// shards (the root performs no processing, so every task's path
-	// lies inside one root-child subtree); when Workers > 1 the shard
-	// event loops run on up to Workers goroutines (capped at the shard
-	// count), producing results bit-identical to a sequential run.
-	// 0 and 1 mean sequential. Configurations that need a global event
-	// order — an Observer, or permanent leaf loss under
-	// RecoverRedispatch (migration crosses shards) — fall back to
-	// sequential automatically.
+	// Workers sets the budget of oblivious parallel replay, the
+	// engine's only parallel path. The engine always partitions the
+	// tree at the root's children into independent shards (the root
+	// performs no processing, so every task's path lies inside one
+	// root-child subtree). When Workers > 1 and the assigner is an
+	// ObliviousAssigner, ReplayOn precomputes the dispatch decisions,
+	// then injects and drains each shard on up to Workers goroutines
+	// (capped at the shard count), producing results bit-identical to
+	// a sequential run. Everything else runs sequentially whatever
+	// Workers says: a state-querying assigner must observe global
+	// engine state at every arrival, a streamed run observes
+	// completions in one global order, and an Observer or permanent
+	// leaf loss under RecoverRedispatch (migration crosses shards)
+	// needs a global event order. 0 and 1 mean sequential.
 	Workers int
-	// SplitShards, when > 0, splits any root-child subtree with more
-	// than SplitShards leaves (and at least two children) one level
-	// deeper: a head shard owning the subtree root alone plus one
-	// sub-shard per child subtree. Skewed trees — one fat root-child
-	// subtree holding most leaves — otherwise serialize on a single
-	// shard; splitting restores parallelism while keeping results
-	// bit-identical between sequential and parallel execution at the
-	// same SplitShards value. Head shards hand tasks to their children
-	// through time-ordered inboxes and never receive events back, so
-	// parallel execution runs in two barrier-separated waves. Against
-	// an unsplit run, per-job metrics are identical and the integral
-	// statistics (FracFlow, ActiveIntegral) may differ in final ulps
-	// (the handoff instants become additional quadrature breakpoints).
-	// 0 disables splitting (one shard per root-child subtree).
-	// Configurations needing a global event or completion order — an
-	// Observer, streaming hooks, or leaf death under
-	// RecoverRedispatch — ignore the knob.
-	SplitShards int
 	// WorkerTokens, when set, is a shared concurrency-budget
 	// semaphore: every worker goroutine beyond the calling one
 	// try-acquires a token and is skipped when the pool is exhausted
@@ -289,9 +275,10 @@ type Slice struct {
 // shards: each shard owns the event heap, clock, flow-time
 // accumulators, slice log and task arena of one root-child subtree.
 // The root performs no processing and every task's path lies inside
-// one subtree, so shards share no mutable state after dispatch; the
-// sequential and the parallel execution modes both run the identical
-// per-shard state machines and differ only in who steps them.
+// one subtree, so shards share no mutable state after dispatch;
+// sequential execution and oblivious parallel replay both run the
+// identical per-shard state machines and differ only in who steps
+// them.
 type Sim struct {
 	tree *tree.Tree
 	opts Options
@@ -302,24 +289,10 @@ type Sim struct {
 	now   float64
 	nodes []nodeState
 
-	// shards hold the per-subtree event machinery; shardOf[v] indexes
-	// shards by node. The partition is one shard per root-child
-	// subtree unless Options.SplitShards splits fat subtrees one level
-	// deeper (see buildPartition).
+	// shards hold the per-subtree event machinery, one per root-child
+	// subtree; shardOf[v] indexes shards by node.
 	shards  []shardState
 	shardOf []int32
-	// splitNow is the effective SplitShards value the current
-	// partition was built for (-1 before the first build).
-	splitNow int
-	// waveAll/wave0/wave1 are the shard index schedules of parallel
-	// execution: without splitting every shard is independent (one
-	// wave over waveAll); with splitting, head shards (wave0) must
-	// finish handing off before their sub-shards (wave1) run.
-	waveAll, wave0, wave1 []int32
-	// startShard[leafIndex] is the shard of Path(leaf)[0]: where a
-	// root-released job assigned to that leaf begins its journey (the
-	// head shard when the subtree is split).
-	startShard []int32
 
 	tasks   []*JobState
 	nextSeq int64
@@ -387,138 +360,33 @@ func New(t *tree.Tree, opts Options) *Sim {
 	}
 	s.assigned = make([][]*JobState, len(t.Leaves()))
 	s.upstreamWork = make([]float64, len(t.Leaves()))
-	s.splitNow = -1 // force the first buildPartition
+	s.buildPartition()
 	s.applyOptions(opts)
 	return s
 }
 
 // NumShards returns the number of shards the engine is partitioned
-// into — one per root-child subtree, more under Options.SplitShards —
-// which is the maximum useful Options.Workers value.
+// into — one per root-child subtree — which is the maximum useful
+// Options.Workers value.
 func (s *Sim) NumShards() int { return len(s.shards) }
 
-// effectiveSplit resolves Options.SplitShards against the
-// configuration's eligibility: splitting changes the per-shard event
-// interleaving, so configurations that need a single global event or
-// completion order keep the root-child partition.
-func effectiveSplit(opts Options) int {
-	if opts.SplitShards <= 0 {
-		return 0
-	}
-	if opts.Observer != nil || opts.RetainJobs > 0 || opts.Sink != nil {
-		return 0
-	}
-	if opts.Faults != nil && opts.Faults.HasDeaths() && opts.Recovery == RecoverRedispatch {
-		return 0
-	}
-	return opts.SplitShards
-}
-
-// buildPartition installs the shard partition for the given split
-// threshold (0: one shard per root-child subtree). With split > 0, a
-// root-child subtree with more than split leaves whose root h has at
-// least two children is split one level deeper: a head shard owning h
-// alone, plus one sub-shard per child subtree, indexed in pre-order
-// (head first, then its children, subtrees in root-adjacent order).
-// Tasks flow only downward, so a head never receives events from its
-// children: sequential index-order stepping of the shards stays
-// topologically valid unchanged, and parallel execution needs exactly
-// two barrier-separated waves (heads and unsplit shards, then
-// sub-shards). Rebuilding drops the previous partition's shard state,
-// including its task arenas; Reset only rebuilds when the effective
-// split value changes.
-func (s *Sim) buildPartition(split int) {
+// buildPartition installs the shard partition: one shard per
+// root-child subtree, indexed in root-adjacent order. The root lands in
+// shard 0; it never processes.
+func (s *Sim) buildPartition() {
 	t := s.tree
-	for i := range s.shardOf {
-		s.shardOf[i] = 0 // the root lands in shard 0; it never processes
-	}
-	var parents []int32
-	var childBuf []tree.NodeID
-	for _, h := range t.RootAdjacent() {
-		leaves := t.SubtreeLeaves(h)
-		childBuf = childBuf[:0]
-		if split > 0 && len(leaves) > split {
-			for _, l := range leaves {
-				p := t.Path(l)
-				if len(p) < 2 {
-					continue // h is itself a leaf
-				}
-				c := p[1]
-				seen := false
-				for _, e := range childBuf {
-					if e == c {
-						seen = true
-						break
-					}
-				}
-				if !seen {
-					childBuf = append(childBuf, c)
-				}
+	s.shards = make([]shardState, len(t.RootAdjacent()))
+	for k, h := range t.RootAdjacent() {
+		for _, l := range t.SubtreeLeaves(h) {
+			for _, v := range t.Path(l) {
+				s.shardOf[v] = int32(k)
 			}
 		}
-		if len(childBuf) >= 2 {
-			head := int32(len(parents))
-			parents = append(parents, -1)
-			s.shardOf[h] = head
-			for _, c := range childBuf {
-				ci := int32(len(parents))
-				parents = append(parents, head)
-				for _, l := range t.SubtreeLeaves(c) {
-					for i, v := range t.Path(l) {
-						if i > 0 {
-							s.shardOf[v] = ci
-						}
-					}
-				}
-			}
-		} else {
-			k := int32(len(parents))
-			parents = append(parents, -1)
-			for _, l := range leaves {
-				for _, v := range t.Path(l) {
-					s.shardOf[v] = k
-				}
-			}
-			s.shardOf[h] = k
-		}
-	}
-	s.shards = make([]shardState, len(parents))
-	s.waveAll = s.waveAll[:0]
-	s.wave0, s.wave1 = s.wave0[:0], s.wave1[:0]
-	for k := range s.shards {
-		s.shards[k].parent = parents[k]
-		s.waveAll = append(s.waveAll, int32(k))
-		if parents[k] < 0 {
-			s.wave0 = append(s.wave0, int32(k))
-		} else {
-			s.wave1 = append(s.wave1, int32(k))
-		}
+		s.shardOf[h] = int32(k)
 	}
 	for i := range s.nodes {
 		s.nodes[i].shard = s.shardOf[i]
 	}
-	if cap(s.startShard) < len(t.Leaves()) {
-		s.startShard = make([]int32, len(t.Leaves()))
-	}
-	s.startShard = s.startShard[:len(t.Leaves())]
-	for li, l := range t.Leaves() {
-		s.startShard[li] = s.shardOf[t.Path(l)[0]]
-	}
-}
-
-// split reports whether the current partition actually contains
-// sub-shards (the threshold may exceed every subtree's leaf count).
-func (s *Sim) split() bool { return len(s.wave1) > 0 }
-
-// startShardOf returns the shard in which a job dispatched to leaf
-// with the given origin begins its journey: the shard of the first
-// path node. Jobs with a non-root origin start strictly below the
-// root-adjacent node, always inside the leaf's own (sub-)shard.
-func (s *Sim) startShardOf(leaf, origin tree.NodeID) int32 {
-	if origin != 0 {
-		return s.nodes[leaf].shard
-	}
-	return s.startShard[s.tree.LeafIndex(leaf)]
 }
 
 // applyOptions installs opts, building or clearing the per-node queues
@@ -541,10 +409,6 @@ func (s *Sim) applyOptions(opts Options) {
 	s.opts = opts
 	s.ps = ps
 	_, s.staticKey = opts.Policy.(StaticKeyPolicy)
-	if eff := effectiveSplit(opts); eff != s.splitNow {
-		s.buildPartition(eff)
-		s.splitNow = eff
-	}
 	for i := range s.nodes {
 		n := &s.nodes[i]
 		// A previous run's fault boundaries may have left a scaled
@@ -641,8 +505,6 @@ func (s *Sim) Reset(opts Options) {
 		sh.eventCount = 0
 		sh.slices = sh.slices[:0]
 		sh.mergeFloor = 0
-		sh.inbox = sh.inbox[:0]
-		sh.inboxIdx = 0
 		sh.err = nil
 		sh.panicVal = nil
 	}
@@ -798,12 +660,7 @@ func (s *Sim) inject(js *JobState, origin tree.NodeID) error {
 			full = s.tree.Path(js.Leaf)[len(s.tree.Path(js.Leaf))-1:]
 		}
 	}
-	// Stats (activeTasks, fracSum) are charged to the shard where the
-	// task's journey begins — the shard of Path[0], which under
-	// sub-shard splitting is the head shard, not the leaf's sub-shard.
-	// The task arena stays keyed by the leaf's shard (see newTask and
-	// Reset's recycle loop).
-	sh := &s.shards[s.nodes[full[0]].shard]
+	sh := &s.shards[s.shardOf[js.Leaf]]
 	now := sh.now
 	js.Path = full
 	js.Hop = 0
@@ -1127,12 +984,10 @@ func (s *Sim) advanceShard(sh *shardState, to float64) {
 	sh.now = to
 }
 
-// advanceShardTo processes shard k's events, fault boundaries and
-// parent handoffs up to and including target and leaves the shard
-// clock there. At equal instants finish events win (a task completing
-// exactly at an outage start still completes), then boundaries, then
-// handoffs (a task arriving exactly at a boundary sees the post-fault
-// speed, matching Inject's applyDueBoundaries).
+// advanceShardTo processes shard k's events and fault boundaries up
+// to and including target and leaves the shard clock there. At equal
+// instants finish events win (a task completing exactly at an outage
+// start still completes), then boundaries.
 func (s *Sim) advanceShardTo(k int, target float64) {
 	sh := &s.shards[k]
 	for {
@@ -1141,34 +996,22 @@ func (s *Sim) advanceShardTo(k int, target float64) {
 		// staleness validation (a random node lookup) can wait; stale
 		// tops beyond target stay queued and are discarded whenever the
 		// clock reaches them. Querying assigners hit this on every
-		// shard at every arrival barrier.
+		// shard at every arrival.
 		if len(sh.events) == 0 || sh.events[0].at > target {
-			bDue := false
-			if s.opts.Faults != nil {
-				b, bOK := sh.peekBoundary()
-				bDue = bOK && b.At <= target
+			if s.opts.Faults == nil {
+				break
 			}
-			if !bDue {
-				if h, hOK := sh.peekHandoff(); !hOK || h.at > target {
-					break
-				}
+			if b, bOK := sh.peekBoundary(); !bOK || b.At > target {
+				break
 			}
 		}
 		ev, evOK := s.nextEvent(sh)
 		if s.opts.Faults != nil {
 			if b, bOK := sh.peekBoundary(); bOK && b.At <= target && (!evOK || b.At < ev.at || ev.at > target) {
-				if h, hOK := sh.peekHandoff(); !hOK || b.At <= h.at {
-					s.advanceShard(sh, b.At)
-					s.applyBoundary(sh, b)
-					continue
-				}
+				s.advanceShard(sh, b.At)
+				s.applyBoundary(sh, b)
+				continue
 			}
-		}
-		if h, hOK := sh.peekHandoff(); hOK && h.at <= target && (!evOK || h.at < ev.at || ev.at > target) {
-			sh.inboxIdx++
-			s.advanceShard(sh, h.at)
-			s.applyHandoff(sh, h.js)
-			continue
 		}
 		if !evOK || ev.at > target {
 			break
@@ -1180,26 +1023,18 @@ func (s *Sim) advanceShardTo(k int, target float64) {
 	s.advanceShard(sh, target)
 }
 
-// drainShard processes every remaining event, boundary and handoff of
-// shard k, with the same tie order as advanceShardTo.
+// drainShard processes every remaining event and boundary of shard k,
+// with the same tie order as advanceShardTo.
 func (s *Sim) drainShard(k int) {
 	sh := &s.shards[k]
 	for {
 		ev, evOK := s.nextEvent(sh)
 		if s.opts.Faults != nil {
 			if b, bOK := sh.peekBoundary(); bOK && (!evOK || b.At < ev.at) {
-				if h, hOK := sh.peekHandoff(); !hOK || b.At <= h.at {
-					s.advanceShard(sh, b.At)
-					s.applyBoundary(sh, b)
-					continue
-				}
+				s.advanceShard(sh, b.At)
+				s.applyBoundary(sh, b)
+				continue
 			}
-		}
-		if h, hOK := sh.peekHandoff(); hOK && (!evOK || h.at < ev.at) {
-			sh.inboxIdx++
-			s.advanceShard(sh, h.at)
-			s.applyHandoff(sh, h.js)
-			continue
 		}
 		if !evOK {
 			break
@@ -1208,19 +1043,6 @@ func (s *Sim) drainShard(k int) {
 		s.advanceShard(sh, ev.at)
 		s.handleFinish(ev.node)
 	}
-}
-
-// applyHandoff completes a parent-to-sub-shard task transfer at the
-// shard's current clock: the task joins the shard's residence
-// accounting and its next node's queue. The emitting side (see
-// handleFinish) already advanced the task's per-hop fields.
-func (s *Sim) applyHandoff(sh *shardState, js *JobState) {
-	sh.activeTasks++
-	sh.fracSum += js.FracWeight
-	w := js.Path[js.Hop]
-	s.sync(w)
-	s.availPush(w, js)
-	s.reschedule(w)
 }
 
 // AdvanceTo processes all events (and fault boundaries) up to and
@@ -1331,8 +1153,8 @@ func (s *Sim) Drain() (err error) {
 
 // finishDrain aligns every shard at the common end time (the maximum
 // shard clock, in shard-index order so the alignment is deterministic)
-// and performs the end-of-run checks shared by the sequential and
-// parallel drains.
+// and performs the end-of-run checks shared by Drain and the oblivious
+// parallel replay.
 func (s *Sim) finishDrain() error {
 	end := s.now
 	for k := range s.shards {
@@ -1624,24 +1446,9 @@ func (s *Sim) handleFinish(v tree.NodeID) {
 			js.HopArrive[js.Hop] = now
 		}
 		s.setKey(js)
-		if ws := s.nodes[w].shard; ws != n.shard {
-			// Sub-shard handoff: the next node belongs to a child
-			// sub-shard of this head shard. The task leaves this
-			// shard's residence accounting now and enters the child's
-			// when the child consumes the inbox entry at the same
-			// instant. Only the head ever appends to a child's inbox
-			// and heads run strictly before children in parallel mode,
-			// so the inbox needs no synchronization; emission order is
-			// the head's event order, so entries are time-sorted.
-			sh.activeTasks--
-			sh.fracSum -= js.FracWeight
-			dst := &s.shards[ws]
-			dst.inbox = append(dst.inbox, handoff{at: now, js: js})
-		} else {
-			s.sync(w) // see Inject: distribute elapsed work before joining
-			s.availPush(w, js)
-			s.reschedule(w)
-		}
+		s.sync(w) // see Inject: distribute elapsed work before joining
+		s.availPush(w, js)
+		s.reschedule(w)
 	}
 	s.reschedule(v)
 	if s.opts.Observer != nil {

@@ -383,7 +383,7 @@ func MakeUnrelated(r *rng.Rand, tr *Trace, cfg UnrelatedConfig) error {
 	if cfg.Leaves <= 0 {
 		return errors.New("workload: UnrelatedConfig.Leaves must be positive")
 	}
-	if cfg.Lo <= 0 || cfg.Hi <= cfg.Lo {
+	if !(cfg.Lo > 0 && cfg.Hi > cfg.Lo) || math.IsInf(cfg.Hi, 0) {
 		return errors.New("workload: UnrelatedConfig requires 0 < Lo < Hi")
 	}
 	if cfg.Penalty == 0 {

@@ -197,6 +197,12 @@ func TestMakeUnrelatedRejectsBadConfig(t *testing.T) {
 	if err := MakeUnrelated(r, tr, UnrelatedConfig{Leaves: 2, Lo: 2, Hi: 1}); err == nil {
 		t.Fatal("accepted Hi<Lo")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range [][2]float64{{nan, 2}, {1, nan}, {1, inf}, {inf, inf}, {-inf, 2}} {
+		if err := MakeUnrelated(r, tr, UnrelatedConfig{Leaves: 2, Lo: c[0], Hi: c[1]}); err == nil {
+			t.Fatalf("accepted Lo=%v Hi=%v", c[0], c[1])
+		}
+	}
 }
 
 func TestRoundTraceToClasses(t *testing.T) {
