@@ -80,10 +80,11 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzMetricsEncode -fuzztime=10s ./internal/sim
 
 # Everything CI needs: build, vet, race-clean short tests, a smoke
-# run of the benchmark harness (fast benchtime, throwaway output), and
-# the constant-memory streaming, fleet determinism and serving-layer
-# overload checks.
-ci: build vet test-race test-race-parallel stream-smoke fleet-smoke serve-smoke
+# run of the benchmark harness (fast benchtime, throwaway output), the
+# constant-memory streaming, fleet determinism and serving-layer
+# overload checks, and a run of every example (packetrouting drives
+# RunPacketized end to end).
+ci: build vet test-race test-race-parallel stream-smoke fleet-smoke serve-smoke examples
 	$(GO) run ./cmd/bench -quick -out /tmp/BENCH_ci.json
 
 # Regenerate EXPERIMENTS.md (sequential so B4 throughput is clean).

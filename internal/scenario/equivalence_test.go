@@ -131,13 +131,18 @@ func TestEquivalenceRelatedMachines(t *testing.T) {
 	const seed, n = 9, 250
 	base := tree.FatTree(2, 1, 4)
 	speeds := []float64{4, 2, 1, 1, 4, 2, 1, 1}
-	trace, err := workload.Poisson(rng.New(seed), workload.GenConfig{
+	poisson, err := workload.NewPoissonSource(rng.New(seed), workload.GenConfig{
 		N: n, Size: classRounded(0.5), Load: 0.85, Capacity: float64(len(base.RootAdjacent())),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.MakeRelated(trace, speeds); err != nil {
+	related, err := workload.NewRelatedSource(poisson, speeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := workload.Collect(related)
+	if err != nil {
 		t.Fatal(err)
 	}
 	want, err := sim.Run(base, trace, &sched.RoundRobin{}, sim.Options{})

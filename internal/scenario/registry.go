@@ -104,18 +104,13 @@ type SizeEntry struct {
 	Build  func(args []float64) workload.SizeDist
 }
 
-// ProcessEntry is one named arrival process. Build draws from r and
-// must be the only consumer of r during generation so scenario seeds
-// stay reproducible.
+// ProcessEntry is one named arrival process. Stream builds its
+// arrival source; a materialized trace is workload.Collect over that
+// same source. The source draws from r and must be the only consumer
+// of r during generation so scenario seeds stay reproducible.
 type ProcessEntry struct {
 	Name   string
 	Params []Param
-	Build  func(r *rng.Rand, cfg workload.GenConfig, args []float64) (*workload.Trace, error)
-	// Stream, when set, is the process's streaming constructor: it
-	// must draw from r in exactly Build's per-job order, so a
-	// streamed workload is bit-identical to the materialized one.
-	// Processes without it are materialized behind a TraceSource when
-	// streamed.
 	Stream func(r *rng.Rand, cfg workload.GenConfig, args []float64) (workload.ArrivalSource, error)
 }
 
@@ -304,9 +299,6 @@ func init() {
 
 	RegisterProcess(ProcessEntry{
 		Name: "poisson",
-		Build: func(r *rng.Rand, cfg workload.GenConfig, _ []float64) (*workload.Trace, error) {
-			return workload.Poisson(r, cfg)
-		},
 		Stream: func(r *rng.Rand, cfg workload.GenConfig, _ []float64) (workload.ArrivalSource, error) {
 			return workload.NewPoissonSource(r, cfg)
 		},
@@ -314,9 +306,6 @@ func init() {
 	RegisterProcess(ProcessEntry{
 		Name:   "bursty",
 		Params: []Param{{"burst", true}},
-		Build: func(r *rng.Rand, cfg workload.GenConfig, a []float64) (*workload.Trace, error) {
-			return workload.Bursty(r, cfg, int(a[0]))
-		},
 		Stream: func(r *rng.Rand, cfg workload.GenConfig, a []float64) (workload.ArrivalSource, error) {
 			return workload.NewBurstySource(r, cfg, int(a[0]))
 		},
@@ -325,9 +314,6 @@ func init() {
 		Name:   "adversarial",
 		Params: []Param{{"bigsize", false}},
 		// Adversarial ignores the size law and load entirely.
-		Build: func(r *rng.Rand, cfg workload.GenConfig, a []float64) (*workload.Trace, error) {
-			return workload.Adversarial(r, cfg.N, a[0]), nil
-		},
 		Stream: func(r *rng.Rand, cfg workload.GenConfig, a []float64) (workload.ArrivalSource, error) {
 			return workload.NewAdversarialSource(cfg.N, a[0]), nil
 		},
@@ -627,27 +613,8 @@ func ParseAssigner(name string, ctx AssignerContext) (sim.Assigner, error) {
 	return e.Build(ctx)
 }
 
-// buildProcess generates a trace via the named arrival process.
-func buildProcess(s Spec, r *rng.Rand, cfg workload.GenConfig) (*workload.Trace, error) {
-	name := s.Name
-	if name == "" {
-		name = "poisson"
-	}
-	e, err := processReg.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	if len(s.Args) != len(e.Params) {
-		return nil, fmt.Errorf("%s needs %s", name, paramNames(e.Params))
-	}
-	return e.Build(r, cfg, s.Args)
-}
-
-// buildProcessSource returns a streaming source for the named arrival
-// process. Processes without a Stream constructor (custom
-// registrations) are materialized behind a TraceSource; either way
-// the rng draws happen in the materialized order, so downstream
-// results are bit-identical.
+// buildProcessSource returns the source of the named arrival
+// process.
 func buildProcessSource(s Spec, r *rng.Rand, cfg workload.GenConfig) (workload.ArrivalSource, error) {
 	name := s.Name
 	if name == "" {
@@ -659,13 +626,6 @@ func buildProcessSource(s Spec, r *rng.Rand, cfg workload.GenConfig) (workload.A
 	}
 	if len(s.Args) != len(e.Params) {
 		return nil, fmt.Errorf("%s needs %s", name, paramNames(e.Params))
-	}
-	if e.Stream == nil {
-		tr, err := e.Build(r, cfg, s.Args)
-		if err != nil {
-			return nil, err
-		}
-		return workload.NewTraceSource(tr), nil
 	}
 	return e.Stream(r, cfg, s.Args)
 }

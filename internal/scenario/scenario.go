@@ -45,8 +45,8 @@ type Workload struct {
 	// Capacity the load is calibrated against; 0 means "derive from
 	// the topology's root-adjacent degree" (trace-only callers get 1).
 	Capacity float64 `json:"capacity,omitempty"`
-	// RelatedSpeeds, when set, applies workload.MakeRelated with these
-	// per-leaf speeds.
+	// RelatedSpeeds, when set, wraps the arrival process in a
+	// workload.RelatedSource with these per-leaf speeds.
 	RelatedSpeeds []float64 `json:"related_speeds,omitempty"`
 	// Unrelated, when set, applies workload.MakeUnrelated.
 	Unrelated *Unrelated `json:"unrelated,omitempty"`
@@ -78,7 +78,37 @@ func (w *Workload) GenerateFrom(r *rng.Rand) (*workload.Trace, error) {
 	return w.GenerateRNG(rng.LegacyFrom(r))
 }
 
-// GenerateRNG produces the trace drawing from a partitioned rng: the
+// source builds the generated workload's per-job pipeline: the
+// arrival process, then the related-speeds transform. Arrivals draw
+// from the "workload" stream and sizes from "sizes".
+func (w *Workload) source(p *rng.PartitionedRNG) (workload.ArrivalSource, error) {
+	var size workload.SizeDist
+	if w.Size.Name != "" {
+		var err error
+		size, err = BuildSize(w.Size)
+		if err != nil {
+			return nil, err
+		}
+		if w.ClassEps > 0 {
+			size = workload.ClassRounded{Base: size, Eps: w.ClassEps}
+		}
+	}
+	src, err := buildProcessSource(w.Process, p.Stream("workload"), workload.GenConfig{
+		N: w.N, Size: size, Load: w.Load, Capacity: w.Capacity,
+		SizeRand: p.Stream("sizes"),
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(w.RelatedSpeeds) > 0 {
+		return workload.NewRelatedSource(src, w.RelatedSpeeds)
+	}
+	return src, nil
+}
+
+// GenerateRNG produces the trace drawing from a partitioned rng: it
+// collects the same per-job source SourceRNG streams, then applies the
+// whole-trace passes (unrelated sizes, class rounding, weights). The
 // arrival process draws from the "workload" stream, size samples and
 // the unrelated transform from "sizes", weight assignment from
 // "weights". With a keyed partition the subsystems are isolated —
@@ -96,28 +126,13 @@ func (w *Workload) GenerateRNG(p *rng.PartitionedRNG) (*workload.Trace, error) {
 		}
 		return tr, nil
 	}
-	var size workload.SizeDist
-	if w.Size.Name != "" {
-		var err error
-		size, err = BuildSize(w.Size)
-		if err != nil {
-			return nil, err
-		}
-		if w.ClassEps > 0 {
-			size = workload.ClassRounded{Base: size, Eps: w.ClassEps}
-		}
-	}
-	tr, err := buildProcess(w.Process, p.Stream("workload"), workload.GenConfig{
-		N: w.N, Size: size, Load: w.Load, Capacity: w.Capacity,
-		SizeRand: p.Stream("sizes"),
-	})
+	src, err := w.source(p)
 	if err != nil {
 		return nil, err
 	}
-	if len(w.RelatedSpeeds) > 0 {
-		if err := workload.MakeRelated(tr, w.RelatedSpeeds); err != nil {
-			return nil, err
-		}
+	tr, err := workload.Collect(src)
+	if err != nil {
+		return nil, err
 	}
 	if u := w.Unrelated; u != nil {
 		if u.Leaves <= 0 {

@@ -1,10 +1,10 @@
 // Streaming scenario support: deciding when a workload can be
 // generated one job at a time, building the ArrivalSource, and the
-// stream-aware run paths of Instance and Runner. The invariant
-// throughout: a source draws from a fresh partition of the
-// scenario's seed in exactly the order GenerateRNG would (in legacy
-// mode, the historical single rng.New(Seed) stream), so streamed and
-// materialized runs are bit-identical.
+// stream-aware run paths of Instance and Runner. GenerateRNG collects
+// the very source SourceRNG streams, drawing from a fresh partition
+// of the scenario's seed (in legacy mode, the historical single
+// rng.New(Seed) stream), so streamed and materialized runs are
+// bit-identical by construction.
 package scenario
 
 import (
@@ -37,9 +37,9 @@ func (w *Workload) SourceFrom(r *rng.Rand) (workload.ArrivalSource, error) {
 }
 
 // SourceRNG is SourceFrom over a partition: arrivals draw from the
-// "workload" stream and sizes from "sizes", matching GenerateRNG
-// draw for draw (in legacy mode both names alias one stream, which
-// is exactly the historical order).
+// "workload" stream and sizes from "sizes" (in legacy mode both names
+// alias one stream, which is exactly the historical order). It is the
+// source GenerateRNG collects, with class rounding applied per job.
 func (w *Workload) SourceRNG(p *rng.PartitionedRNG) (workload.ArrivalSource, error) {
 	if !w.Streamable() {
 		tr, err := w.GenerateRNG(p)
@@ -48,28 +48,9 @@ func (w *Workload) SourceRNG(p *rng.PartitionedRNG) (workload.ArrivalSource, err
 		}
 		return workload.NewTraceSource(tr), nil
 	}
-	var size workload.SizeDist
-	if w.Size.Name != "" {
-		var err error
-		size, err = BuildSize(w.Size)
-		if err != nil {
-			return nil, err
-		}
-		if w.ClassEps > 0 {
-			size = workload.ClassRounded{Base: size, Eps: w.ClassEps}
-		}
-	}
-	src, err := buildProcessSource(w.Process, p.Stream("workload"), workload.GenConfig{
-		N: w.N, Size: size, Load: w.Load, Capacity: w.Capacity,
-		SizeRand: p.Stream("sizes"),
-	})
+	src, err := w.source(p)
 	if err != nil {
 		return nil, err
-	}
-	if len(w.RelatedSpeeds) > 0 {
-		if src, err = workload.NewRelatedSource(src, w.RelatedSpeeds); err != nil {
-			return nil, err
-		}
 	}
 	if w.RoundEps > 0 {
 		src = workload.NewClassRoundSource(src, w.RoundEps)

@@ -117,39 +117,72 @@ func RunOn(s *Sim, trace *workload.Trace, asg Assigner) (*Result, error) {
 // state at each arrival, so the commit loop cannot fan out.
 func ReplayOn(s *Sim, trace *workload.Trace, asg Assigner) (err error) {
 	defer recoverInternal(&err)
-	if err := trace.Validate(); err != nil {
-		return err
-	}
 	if _, oblivious := asg.(ObliviousAssigner); oblivious {
 		if w := s.workerCount(); w > 1 {
 			return s.replayParallel(trace, asg, w)
 		}
 	}
-	if err := s.injectTrace(trace, asg); err != nil {
-		return err
+	for i := range trace.Jobs {
+		if err := s.arriveAndInject(&trace.Jobs[i], i, asg); err != nil {
+			return err
+		}
 	}
 	return s.Drain()
 }
 
-// injectTrace is the sequential dispatch loop of ReplayOn.
-func (s *Sim) injectTrace(trace *workload.Trace, asg Assigner) error {
-	t := s.tree
-	// Passing a loop-local Arrival through the Assigner interface makes
-	// it escape; the engine-owned scratch keeps the warm path at zero
-	// allocations. Assigners must not retain the pointer past Assign
-	// (the value was already overwritten every iteration).
+// admit is the engine's one validation of an incoming job, the n-th
+// arrival of its run: dense ID, Job.Validate, sorted release and one
+// size per leaf. The messages match Trace.Validate's.
+func (s *Sim) admit(j *workload.Job, n int) error {
+	if j.ID != n {
+		return fmt.Errorf("workload: job at position %d has ID %d (IDs must be dense)", n, j.ID)
+	}
+	if err := j.Validate(); err != nil {
+		return err
+	}
+	if n > 0 && j.Release < s.lastRelease {
+		return fmt.Errorf("workload: releases not sorted at position %d", n)
+	}
+	s.lastRelease = j.Release
+	if leaves := len(s.tree.Leaves()); j.LeafSizes != nil && len(j.LeafSizes) != leaves {
+		return fmt.Errorf("sim: job %d has %d leaf sizes for a %d-leaf tree", j.ID, len(j.LeafSizes), leaves)
+	}
+	return nil
+}
+
+// assign hands j to asg as the engine's scratch Arrival (assigners must
+// not retain it) and checks that the answer is a leaf, returning the
+// leaf and its leaf index.
+func (s *Sim) assign(j *workload.Job, asg Assigner) (tree.NodeID, int, error) {
 	a := &s.scratchArrival
-	for i := range trace.Jobs {
-		j := &trace.Jobs[i]
-		if j.LeafSizes != nil && len(j.LeafSizes) != len(t.Leaves()) {
-			return fmt.Errorf("sim: job %d has %d leaf sizes for a %d-leaf tree", j.ID, len(j.LeafSizes), len(t.Leaves()))
-		}
-		s.AdvanceTo(j.Release)
-		*a = Arrival{ID: j.ID, Release: j.Release, Size: j.Size, LeafSizes: j.LeafSizes, Origin: tree.NodeID(j.Origin), Weight: j.Weight}
-		leaf := asg.Assign(s.Query(), a)
-		if _, err := s.Inject(a, leaf); err != nil {
-			return fmt.Errorf("sim: assigner %q: %w", asg.Name(), err)
-		}
+	*a = Arrival{ID: j.ID, Release: j.Release, Size: j.Size, LeafSizes: j.LeafSizes, Origin: tree.NodeID(j.Origin), Weight: j.Weight}
+	leaf := asg.Assign(s.Query(), a)
+	li := s.tree.LeafIndex(leaf)
+	if li < 0 {
+		return leaf, li, fmt.Errorf("sim: assigner %q: sim: assignment to non-leaf node %d", asg.Name(), leaf)
+	}
+	return leaf, li, nil
+}
+
+// arrive is the arrival step of every sequential replay: admit j,
+// advance to its release and assign it (immediate dispatch at the
+// root), leaving the arrival in s.scratchArrival for the injection.
+func (s *Sim) arrive(j *workload.Job, n int, asg Assigner) (tree.NodeID, int, error) {
+	if err := s.admit(j, n); err != nil {
+		return tree.None, -1, err
+	}
+	s.AdvanceTo(j.Release)
+	return s.assign(j, asg)
+}
+
+// arriveAndInject is arrive, then the whole job injected on its leaf.
+func (s *Sim) arriveAndInject(j *workload.Job, n int, asg Assigner) error {
+	leaf, _, err := s.arrive(j, n, asg)
+	if err != nil {
+		return err
+	}
+	if _, err := s.Inject(&s.scratchArrival, leaf); err != nil {
+		return fmt.Errorf("sim: assigner %q: %w", asg.Name(), err)
 	}
 	return nil
 }
@@ -231,18 +264,28 @@ func RunStreamOn(s *Sim, src workload.ArrivalSource, asg Assigner) (*Result, err
 
 // ReplayStreamOn drives the streaming inject→drain cycle without
 // collecting a Result, returning the number of jobs drawn from the
-// source. Jobs are validated incrementally (dense IDs, sorted
-// releases, per-job validity) since there is no Trace to validate up
-// front. Streamed runs execute sequentially; a plain TraceSource with
-// no hooks installed delegates to ReplayOn, retaining its oblivious
-// parallel replay.
+// source. Each job passes the same arrival step as a trace's, so a
+// malformed stream fails exactly like the equivalent trace. Streamed
+// runs execute sequentially; a plain TraceSource with no hooks
+// installed delegates to ReplayOn, retaining its oblivious parallel
+// replay.
 func ReplayStreamOn(s *Sim, src workload.ArrivalSource, asg Assigner) (n int, err error) {
 	defer recoverInternal(&err)
 	if ts, ok := src.(*workload.TraceSource); ok && s.stream == nil {
 		tr := ts.Trace()
 		return len(tr.Jobs), ReplayOn(s, tr, asg)
 	}
-	if n, err = s.injectStream(src, asg); err != nil {
+	for {
+		j, ok := src.Next()
+		if !ok {
+			break
+		}
+		if err := s.arriveAndInject(&j, n, asg); err != nil {
+			return n, err
+		}
+		n++
+	}
+	if err := src.Err(); err != nil {
 		return n, err
 	}
 	if err := s.Drain(); err != nil {
@@ -252,43 +295,6 @@ func ReplayStreamOn(s *Sim, src workload.ArrivalSource, asg Assigner) (n int, er
 		return n, fmt.Errorf("sim: job sink: %w", s.stream.sinkErr)
 	}
 	return n, nil
-}
-
-// injectStream is the sequential dispatch loop of the streaming
-// path, mirroring injectTrace plus the incremental validation that
-// Trace.Validate would have done.
-func (s *Sim) injectStream(src workload.ArrivalSource, asg Assigner) (int, error) {
-	t := s.tree
-	a := &s.scratchArrival
-	n := 0
-	prev := 0.0
-	for {
-		j, ok := src.Next()
-		if !ok {
-			break
-		}
-		if j.ID != n {
-			return n, fmt.Errorf("workload: job at position %d has ID %d (IDs must be dense)", n, j.ID)
-		}
-		if err := j.Validate(); err != nil {
-			return n, err
-		}
-		if j.Release < prev {
-			return n, fmt.Errorf("workload: releases not sorted at position %d", n)
-		}
-		prev = j.Release
-		if j.LeafSizes != nil && len(j.LeafSizes) != len(t.Leaves()) {
-			return n, fmt.Errorf("sim: job %d has %d leaf sizes for a %d-leaf tree", j.ID, len(j.LeafSizes), len(t.Leaves()))
-		}
-		s.AdvanceTo(j.Release)
-		*a = Arrival{ID: j.ID, Release: j.Release, Size: j.Size, LeafSizes: j.LeafSizes, Origin: tree.NodeID(j.Origin), Weight: j.Weight}
-		leaf := asg.Assign(s.Query(), a)
-		if _, err := s.Inject(a, leaf); err != nil {
-			return n, fmt.Errorf("sim: assigner %q: %w", asg.Name(), err)
-		}
-		n++
-	}
-	return n, src.Err()
 }
 
 // RunPacketized simulates the paper's Section 2 variant in which a
@@ -304,25 +310,20 @@ func RunPacketized(t *tree.Tree, trace *workload.Trace, asg Assigner, opts Optio
 		// would corrupt per-job accounting.
 		return nil, fmt.Errorf("sim: RunPacketized does not support streaming retention or sinks")
 	}
-	if err := trace.Validate(); err != nil {
-		return nil, err
-	}
 	s := New(t, opts)
 	for i := range trace.Jobs {
 		j := &trace.Jobs[i]
-		s.AdvanceTo(j.Release)
-		a := &Arrival{ID: j.ID, Release: j.Release, Size: j.Size, LeafSizes: j.LeafSizes, Origin: tree.NodeID(j.Origin)}
-		leaf := asg.Assign(s.Query(), a)
-		li := t.LeafIndex(leaf)
-		if li < 0 {
-			return nil, fmt.Errorf("sim: assigner %q chose non-leaf %d", asg.Name(), leaf)
+		leaf, li, err := s.arrive(j, i, asg)
+		if err != nil {
+			return nil, err
 		}
 		k := int(math.Ceil(j.Size))
 		if k < 1 {
 			k = 1
 		}
+		leafSize := s.scratchArrival.LeafSize(li)
 		routerPiece := j.Size / float64(k)
-		leafPiece := a.LeafSize(li) / float64(k)
+		leafPiece := leafSize / float64(k)
 		for p := 0; p < k; p++ {
 			js := s.newTask(&s.shards[s.shardOf[leaf]])
 			js.ID = j.ID
@@ -331,8 +332,9 @@ func RunPacketized(t *tree.Tree, trace *workload.Trace, asg Assigner, opts Optio
 			js.RouterSize = routerPiece
 			js.LeafWork = leafPiece
 			js.PrioRouter = j.Size
-			js.PrioLeaf = a.LeafSize(li)
+			js.PrioLeaf = leafSize
 			js.FracWeight = 1 / float64(k)
+			js.Weight = j.Weight
 			js.Leaf = leaf
 			js.leafSizes = j.LeafSizes
 			s.nextSeq++

@@ -263,20 +263,16 @@ func growLeaves(sl []tree.NodeID, n int) []tree.NodeID {
 // quadrature points identical to the sequential engine's.
 func (s *Sim) replayParallel(trace *workload.Trace, asg Assigner, workers int) (err error) {
 	defer recoverInternal(&err)
-	t := s.tree
 	n := len(trace.Jobs)
 	s.assignBuf = growLeaves(s.assignBuf, n)
-	q := s.Query()
-	a := &s.scratchArrival
 	for i := range trace.Jobs {
 		j := &trace.Jobs[i]
-		if j.LeafSizes != nil && len(j.LeafSizes) != len(t.Leaves()) {
-			return fmt.Errorf("sim: job %d has %d leaf sizes for a %d-leaf tree", j.ID, len(j.LeafSizes), len(t.Leaves()))
+		if err := s.admit(j, i); err != nil {
+			return err
 		}
-		*a = Arrival{ID: j.ID, Release: j.Release, Size: j.Size, LeafSizes: j.LeafSizes, Origin: tree.NodeID(j.Origin), Weight: j.Weight}
-		leaf := asg.Assign(q, a)
-		if t.LeafIndex(leaf) < 0 {
-			return fmt.Errorf("sim: assigner %q: sim: assignment to non-leaf node %d", asg.Name(), leaf)
+		leaf, _, err := s.assign(j, asg)
+		if err != nil {
+			return err
 		}
 		s.assignBuf[i] = leaf
 	}

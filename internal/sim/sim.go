@@ -305,10 +305,11 @@ type Sim struct {
 	// query is the read-only view handed out by Query (one per engine
 	// so the accessor does not allocate).
 	query Query
-	// scratchArrival is reused by ReplayOn: passing a stack Arrival
-	// through the Assigner interface makes it escape, which would cost
-	// one heap allocation per replay on the zero-alloc warm path.
+	// scratchArrival is the Arrival assign hands out: a stack Arrival
+	// passed through the Assigner interface escapes, which would cost
+	// one heap allocation per job.
 	scratchArrival Arrival
+	lastRelease    float64 // previous admitted release (admit's order check)
 	// scratchIDs is reused by Query.AvailCountLarger for packet
 	// de-duplication.
 	scratchIDs []int

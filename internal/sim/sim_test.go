@@ -274,6 +274,66 @@ func TestPacketizedPipelines(t *testing.T) {
 	approx(t, pk.Jobs[0].PathWork, sf.Jobs[0].PathWork, 1e-9, "pathwork")
 }
 
+// weightSpy records the weight of every arrival it dispatches.
+type weightSpy struct {
+	leaf    tree.NodeID
+	weights []float64
+}
+
+func (w *weightSpy) Name() string { return "weightspy" }
+func (w *weightSpy) Assign(_ *Query, a *Arrival) tree.NodeID {
+	w.weights = append(w.weights, a.Weight)
+	return w.leaf
+}
+
+func TestPacketizedCarriesWeights(t *testing.T) {
+	tr := tree.Star(1)
+	trace := &workload.Trace{Jobs: []workload.Job{{ID: 0, Release: 0, Size: 2, Weight: 3}}}
+	spy := &weightSpy{leaf: tr.Leaves()[0]}
+	res, err := RunPacketized(tr, trace, spy, Options{SelfCheck: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two unit packets pipeline through relay and leaf: flow 3,
+	// weighted flow 9.
+	approx(t, res.Jobs[0].Flow, 3, 1e-9, "flow")
+	approx(t, res.Jobs[0].Weight, 3, 0, "job weight")
+	approx(t, res.Stats.WeightedFlow, 9, 1e-9, "weighted flow")
+	if len(spy.weights) != 1 || spy.weights[0] != 3 {
+		t.Fatalf("assigner saw weights %v, want [3]", spy.weights)
+	}
+
+	// WSJF orders packets by their job's weight: the heavy job, though
+	// released second, finishes first.
+	tr2 := tree.Star(2)
+	trace2 := &workload.Trace{Jobs: []workload.Job{
+		{ID: 0, Release: 0, Size: 2, Weight: 1},
+		{ID: 1, Release: 1e-9, Size: 2, Weight: 5},
+	}}
+	pk, err := RunPacketized(tr2, trace2, byLeafAssigner{idx: []int{0, 1}}, Options{Policy: WSJF{}, SelfCheck: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pk.Jobs[1].Completion > pk.Jobs[0].Completion {
+		t.Fatalf("packetized WSJF ran the light job first: C0=%v C1=%v", pk.Jobs[0].Completion, pk.Jobs[1].Completion)
+	}
+}
+
+func TestPacketizedRejectsShortLeafSizes(t *testing.T) {
+	tr := tree.Star(3)
+	trace := &workload.Trace{Jobs: []workload.Job{
+		{ID: 0, Release: 0, Size: 2, LeafSizes: []float64{1}},
+		{ID: 1, Release: 1, Size: 2, LeafSizes: []float64{1}},
+	}}
+	const want = "sim: job 0 has 1 leaf sizes for a 3-leaf tree"
+	if _, err := Run(tr, trace, &rrAssigner{}, Options{}); err == nil || err.Error() != want {
+		t.Fatalf("Run error %v, want %q", err, want)
+	}
+	if _, err := RunPacketized(tr, trace, &rrAssigner{}, Options{}); err == nil || err.Error() != want {
+		t.Fatalf("RunPacketized error %v, want %q", err, want)
+	}
+}
+
 func TestNodeUtilization(t *testing.T) {
 	tr := tree.Star(1)
 	trace := &workload.Trace{Jobs: []workload.Job{{ID: 0, Release: 0, Size: 3}}}

@@ -1,10 +1,9 @@
-// Streaming arrival sources: the online counterpart of the trace
-// generators. An ArrivalSource yields release-ordered jobs one at a
-// time, so a million-job run never materializes a []Job. Each
-// generator draws from the rng in exactly the per-job order of its
-// materializing twin (Poisson, Bursty, Adversarial), which makes a
-// streamed workload bit-identical to the materialized one under the
-// single-rng-stream discipline of the scenario layer.
+// Arrival sources. Each arrival process and per-job transform is
+// written once, as an ArrivalSource yielding release-ordered jobs one
+// at a time, so a million-job run never materializes a []Job. A
+// materialized trace is just a collected source: Poisson, Bursty and
+// Adversarial are Collect over their generator, which makes streamed
+// and materialized workloads the same jobs by construction.
 package workload
 
 import (
@@ -27,6 +26,34 @@ import (
 type ArrivalSource interface {
 	Next() (Job, bool)
 	Err() error
+}
+
+// describer is implemented by the generated sources: meta says how
+// the jobs were generated, and Collect records it as the trace's Meta.
+type describer interface {
+	meta() map[string]string
+}
+
+// Collect drains a source into a Trace: the materialized form of any
+// workload. A generated source's description becomes the trace's
+// Meta. Nothing is validated; generators emit valid traces by
+// construction and consumers validate on use.
+func Collect(src ArrivalSource) (*Trace, error) {
+	tr := &Trace{}
+	if d, ok := src.(describer); ok {
+		tr.Meta = d.meta()
+	}
+	for {
+		j, ok := src.Next()
+		if !ok {
+			break
+		}
+		tr.Jobs = append(tr.Jobs, j)
+	}
+	if err := src.Err(); err != nil {
+		return nil, err
+	}
+	return tr, nil
 }
 
 // TraceSource adapts a materialized *Trace to the ArrivalSource
@@ -56,8 +83,20 @@ func (s *TraceSource) Err() error { return nil }
 // this to unwrap the adapter.
 func (s *TraceSource) Trace() *Trace { return s.tr }
 
-// PoissonSource streams the exact job sequence of Poisson: per job it
-// draws one exponential interarrival then one size sample.
+// genMeta describes a load-calibrated generator run.
+func genMeta(process string, cfg *GenConfig) map[string]string {
+	return map[string]string{
+		"process": process,
+		"size":    cfg.Size.Name(),
+		"load":    fmt.Sprintf("%g", cfg.Load),
+	}
+}
+
+// PoissonSource generates N jobs with exponential interarrival times
+// calibrated so that the offered load on a capacity-Capacity resource
+// is Load. Per job it draws one exponential interarrival, then one
+// size sample. Release times are strictly increasing (paper WLOG: all
+// arrivals distinct).
 type PoissonSource struct {
 	r    *rng.Rand
 	cfg  GenConfig
@@ -66,13 +105,21 @@ type PoissonSource struct {
 	i    int
 }
 
-// NewPoissonSource validates cfg exactly like Poisson and returns the
-// streaming generator.
+// NewPoissonSource validates cfg and returns the generator.
 func NewPoissonSource(r *rng.Rand, cfg GenConfig) (*PoissonSource, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	return &PoissonSource{r: r, cfg: cfg, rate: cfg.Load * cfg.Capacity / cfg.Size.Mean()}, nil
+}
+
+// Poisson materializes a PoissonSource.
+func Poisson(r *rng.Rand, cfg GenConfig) (*Trace, error) {
+	src, err := NewPoissonSource(r, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return Collect(src)
 }
 
 func (s *PoissonSource) Next() (Job, bool) {
@@ -87,9 +134,13 @@ func (s *PoissonSource) Next() (Job, bool) {
 
 func (s *PoissonSource) Err() error { return nil }
 
-// BurstySource streams the exact job sequence of Bursty: one
-// exponential draw at each burst start, then per job a fixed jitter
-// and one size sample.
+func (s *PoissonSource) meta() map[string]string { return genMeta("poisson", &s.cfg) }
+
+// BurstySource generates jobs in bursts: burst starts form a Poisson
+// process and each burst releases burstLen jobs back-to-back,
+// separated by a tiny jitter to keep arrival times distinct. It draws
+// one exponential at each burst start, then per job one size sample.
+// This stresses the congestion-awareness of assignment policies.
 type BurstySource struct {
 	r        *rng.Rand
 	cfg      GenConfig
@@ -100,7 +151,7 @@ type BurstySource struct {
 	i        int
 }
 
-// NewBurstySource validates like Bursty and returns the streaming
+// NewBurstySource validates cfg and burstLen and returns the
 // generator.
 func NewBurstySource(r *rng.Rand, cfg GenConfig, burstLen int) (*BurstySource, error) {
 	if err := cfg.validate(); err != nil {
@@ -113,6 +164,15 @@ func NewBurstySource(r *rng.Rand, cfg GenConfig, burstLen int) (*BurstySource, e
 	return &BurstySource{r: r, cfg: cfg, rate: rate, burstLen: burstLen}, nil
 }
 
+// Bursty materializes a BurstySource.
+func Bursty(r *rng.Rand, cfg GenConfig, burstLen int) (*Trace, error) {
+	src, err := NewBurstySource(r, cfg, burstLen)
+	if err != nil {
+		return nil, err
+	}
+	return Collect(src)
+}
+
 func (s *BurstySource) Next() (Job, bool) {
 	if s.i >= s.cfg.N {
 		return Job{}, false
@@ -120,6 +180,7 @@ func (s *BurstySource) Next() (Job, bool) {
 	if s.pos == 0 {
 		s.t += s.r.Exp(s.rate)
 	}
+	// Distinct arrival times, per the paper's WLOG assumption.
 	s.t += 1e-9
 	j := Job{ID: s.i, Release: s.t, Size: s.cfg.Size.Sample(s.cfg.sizeRand(s.r))}
 	s.i++
@@ -132,10 +193,16 @@ func (s *BurstySource) Next() (Job, bool) {
 
 func (s *BurstySource) Err() error { return nil }
 
-// AdversarialSource streams the exact job sequence of Adversarial.
-// The pattern is deterministic (no rng draws), so only the phase
-// machine needs to match: one big job, a flood of bigSize/2 unit
-// jobs, then a bigSize/4 gap.
+func (s *BurstySource) meta() map[string]string {
+	return genMeta(fmt.Sprintf("bursty(%d)", s.burstLen), &s.cfg)
+}
+
+// AdversarialSource generates the pattern that separates
+// congestion-aware assignment from proximity-based assignment: a
+// steady trickle of large jobs plus periodic floods of small jobs, all
+// of which conflict on the same root branch if assigned naively. Each
+// phase is one big job, a flood of bigSize/2 unit jobs, then a
+// bigSize/4 gap. The pattern draws no randomness.
 type AdversarialSource struct {
 	n         int
 	big       float64
@@ -144,10 +211,17 @@ type AdversarialSource struct {
 	i         int
 }
 
-// NewAdversarialSource returns the streaming generator for n jobs
-// with the given big-job size.
+// NewAdversarialSource returns the generator for n jobs with the
+// given big-job size.
 func NewAdversarialSource(n int, bigSize float64) *AdversarialSource {
 	return &AdversarialSource{n: n, big: bigSize}
+}
+
+// Adversarial materializes an AdversarialSource. It draws nothing
+// from r.
+func Adversarial(r *rng.Rand, n int, bigSize float64) *Trace {
+	tr, _ := Collect(NewAdversarialSource(n, bigSize))
+	return tr
 }
 
 func (s *AdversarialSource) Next() (Job, bool) {
@@ -172,18 +246,23 @@ func (s *AdversarialSource) Next() (Job, bool) {
 
 func (s *AdversarialSource) Err() error { return nil }
 
-// RelatedSource applies MakeRelated per job: every yielded job gets
-// LeafSizes[i] = Size/leafSpeeds[i]. The transform is rng-free, so
-// wrapping preserves bit-identity with the materialized pipeline.
+func (s *AdversarialSource) meta() map[string]string {
+	return map[string]string{"process": "adversarial"}
+}
+
+// RelatedSource fills per-leaf sizes from fixed machine speeds: leaf
+// i processes every job at speed leafSpeeds[i], so p_{j,i} = p_j/s_i —
+// the related machines model of the paper's introduction, expressed
+// as a special case of unrelated endpoints. Rng-free.
 type RelatedSource struct {
 	src    ArrivalSource
 	speeds []float64
 }
 
-// NewRelatedSource validates the speeds exactly like MakeRelated.
+// NewRelatedSource wraps src; every speed must be positive.
 func NewRelatedSource(src ArrivalSource, leafSpeeds []float64) (*RelatedSource, error) {
 	if len(leafSpeeds) == 0 {
-		return nil, errors.New("workload: MakeRelated needs at least one leaf speed")
+		return nil, errors.New("workload: related machines need at least one leaf speed")
 	}
 	for _, s := range leafSpeeds {
 		if s <= 0 {
@@ -206,6 +285,17 @@ func (s *RelatedSource) Next() (Job, bool) {
 }
 
 func (s *RelatedSource) Err() error { return s.src.Err() }
+
+func (s *RelatedSource) meta() map[string]string {
+	m := map[string]string{}
+	if d, ok := s.src.(describer); ok {
+		for k, v := range d.meta() {
+			m[k] = v
+		}
+	}
+	m["endpoints"] = "related"
+	return m
+}
 
 // ClassRoundSource applies RoundTraceToClasses per job: router and
 // leaf sizes are rounded up to powers of (1+eps). Rng-free.
@@ -233,24 +323,6 @@ func (s *ClassRoundSource) Next() (Job, bool) {
 }
 
 func (s *ClassRoundSource) Err() error { return s.src.Err() }
-
-// Collect drains a source into a Trace (no validation; generators
-// emit valid traces by construction and consumers validate on use).
-// Mostly for tests and fallback paths.
-func Collect(src ArrivalSource) (*Trace, error) {
-	tr := &Trace{}
-	for {
-		j, ok := src.Next()
-		if !ok {
-			break
-		}
-		tr.Jobs = append(tr.Jobs, j)
-	}
-	if err := src.Err(); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
 
 // StreamNDJSON drains a source to w as newline-delimited JSON — one
 // compact Job object per line — accumulating TraceStats online so a

@@ -2,8 +2,11 @@ package workload
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -23,18 +26,51 @@ func drain(t *testing.T, src ArrivalSource) []Job {
 	return tr.Jobs
 }
 
-func TestPoissonSourceMatchesPoisson(t *testing.T) {
+// digestJobs hashes every job's ID, Origin and the exact bits of its
+// float64 fields (FNV-1a), so a pin catches a one-ulp change in any
+// release, size, per-leaf size or weight.
+func digestJobs(jobs []Job) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for i := range jobs {
+		j := &jobs[i]
+		put(uint64(j.ID))
+		put(math.Float64bits(j.Release))
+		put(math.Float64bits(j.Size))
+		put(math.Float64bits(j.Weight))
+		put(uint64(j.Origin))
+		put(uint64(len(j.LeafSizes)))
+		for _, s := range j.LeafSizes {
+			put(math.Float64bits(s))
+		}
+	}
+	return h.Sum64()
+}
+
+// The pinned digests below freeze the generators' job sequences: the
+// materialized trace is Collect over the same source, so each pin
+// holds both the streamed and the materialized form.
+
+func TestPoissonSourcePinned(t *testing.T) {
+	const pin = 0x9fca4b0f2640399f
 	cfg := GenConfig{N: 500, Size: ClassRounded{Base: UniformSize{1, 16}, Eps: 0.5}, Load: 0.9, Capacity: 2}
-	want, err := Poisson(rng.New(7), cfg)
+	tr, err := Poisson(rng.New(7), cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := digestJobs(tr.Jobs); got != pin {
+		t.Fatalf("Poisson digest %#x, pinned %#x", got, uint64(pin))
 	}
 	src, err := NewPoissonSource(rng.New(7), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := drain(t, src); !reflect.DeepEqual(got, want.Jobs) {
-		t.Fatal("streamed Poisson jobs differ from materialized trace")
+	if got := digestJobs(drain(t, src)); got != pin {
+		t.Fatalf("PoissonSource digest %#x, pinned %#x", got, uint64(pin))
 	}
 	// Exhausted sources stay exhausted.
 	if _, ok := src.Next(); ok {
@@ -42,21 +78,28 @@ func TestPoissonSourceMatchesPoisson(t *testing.T) {
 	}
 }
 
-func TestBurstySourceMatchesBursty(t *testing.T) {
+func TestBurstySourcePinned(t *testing.T) {
 	// 503 is deliberately not a multiple of the burst length: the last
-	// burst is truncated in both implementations.
+	// burst is truncated.
+	pins := map[int]uint64{1: 0xb0025e58ade698, 4: 0xa10a90debcdfc89a, 7: 0xb6eaf61791db73f8}
 	for _, burst := range []int{1, 4, 7} {
 		cfg := GenConfig{N: 503, Size: BimodalSize{Small: 1, Big: 32, PBig: 0.1}, Load: 0.8, Capacity: 3}
-		want, err := Bursty(rng.New(11), cfg, burst)
+		tr, err := Bursty(rng.New(11), cfg, burst)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if got := digestJobs(tr.Jobs); got != pins[burst] {
+			t.Fatalf("burst=%d: Bursty digest %#x, pinned %#x", burst, got, pins[burst])
 		}
 		src, err := NewBurstySource(rng.New(11), cfg, burst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := drain(t, src); !reflect.DeepEqual(got, want.Jobs) {
-			t.Fatalf("burst=%d: streamed Bursty jobs differ from materialized trace", burst)
+		if got := digestJobs(drain(t, src)); got != pins[burst] {
+			t.Fatalf("burst=%d: BurstySource digest %#x, pinned %#x", burst, got, pins[burst])
+		}
+		if _, ok := src.Next(); ok {
+			t.Fatalf("burst=%d: Next after exhaustion returned a job", burst)
 		}
 	}
 	if _, err := NewBurstySource(rng.New(1), GenConfig{N: 1, Size: UniformSize{1, 2}, Load: 1}, 0); err == nil {
@@ -64,14 +107,20 @@ func TestBurstySourceMatchesBursty(t *testing.T) {
 	}
 }
 
-func TestAdversarialSourceMatchesAdversarial(t *testing.T) {
+func TestAdversarialSourcePinned(t *testing.T) {
 	// bigSize 1.5 exercises the flood==0 edge (int(1.5/2) == 0): the
 	// pattern degenerates to big jobs separated by big/4 gaps.
+	pins := map[float64]uint64{32: 0x4e86f886bdaf70cf, 5: 0x424d18cae025e330, 1.5: 0xeed219b42e37870c}
 	for _, big := range []float64{32, 5, 1.5} {
-		want := Adversarial(rng.New(1), 200, big)
+		if got := digestJobs(Adversarial(rng.New(1), 200, big).Jobs); got != pins[big] {
+			t.Fatalf("bigSize=%g: Adversarial digest %#x, pinned %#x", big, got, pins[big])
+		}
 		src := NewAdversarialSource(200, big)
-		if got := drain(t, src); !reflect.DeepEqual(got, want.Jobs) {
-			t.Fatalf("bigSize=%g: streamed Adversarial jobs differ from materialized trace", big)
+		if got := digestJobs(drain(t, src)); got != pins[big] {
+			t.Fatalf("bigSize=%g: AdversarialSource digest %#x, pinned %#x", big, got, pins[big])
+		}
+		if _, ok := src.Next(); ok {
+			t.Fatalf("bigSize=%g: Next after exhaustion returned a job", big)
 		}
 	}
 }
@@ -90,32 +139,32 @@ func TestTraceSourceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWrappedSourcesMatchTraceTransforms(t *testing.T) {
+func TestWrappedSourcesPinned(t *testing.T) {
+	const relatedPin, roundedPin = 0xd423ea405addad5d, 0xf1e062bd6d3a0b22
 	cfg := GenConfig{N: 120, Size: UniformSize{1, 16}, Load: 0.9, Capacity: 2}
 	speeds := []float64{1, 2, 0.5, 4}
-
-	want, err := Poisson(rng.New(5), cfg)
-	if err != nil {
-		t.Fatal(err)
+	related := func() ArrivalSource {
+		base, err := NewPoissonSource(rng.New(5), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := NewRelatedSource(base, speeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rel
 	}
-	if err := MakeRelated(want, speeds); err != nil {
-		t.Fatal(err)
+	if got := digestJobs(drain(t, related())); got != relatedPin {
+		t.Fatalf("related stream digest %#x, pinned %#x", got, uint64(relatedPin))
 	}
-	RoundTraceToClasses(want, 0.5)
+	if got := digestJobs(drain(t, NewClassRoundSource(related(), 0.5))); got != roundedPin {
+		t.Fatalf("related+rounded stream digest %#x, pinned %#x", got, uint64(roundedPin))
+	}
 
 	base, err := NewPoissonSource(rng.New(5), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := NewRelatedSource(base, speeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := NewClassRoundSource(rel, 0.5)
-	if got := drain(t, src); !reflect.DeepEqual(got, want.Jobs) {
-		t.Fatal("wrapped related+rounded stream differs from trace transforms")
-	}
-
 	if _, err := NewRelatedSource(base, nil); err == nil {
 		t.Fatal("NewRelatedSource accepted empty speeds")
 	}
@@ -271,17 +320,6 @@ func TestSizeRandSplitsDraws(t *testing.T) {
 		if a[i].Release != b[i].Release {
 			t.Fatalf("job %d arrival moved (%v -> %v) when only the size law changed", i, a[i].Release, b[i].Release)
 		}
-	}
-	// Streamed twin: bit-identical to the materialized run under the
-	// same partition.
-	p := rng.NewPartitioned(3)
-	cfg := GenConfig{N: 200, Size: UniformSize{1, 3}, Load: 0.9, Capacity: 2, SizeRand: p.Stream("sizes")}
-	src, err := NewPoissonSource(p.Stream("workload"), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := drain(t, src); !reflect.DeepEqual(got, a) {
-		t.Fatal("streamed partitioned Poisson differs from materialized")
 	}
 }
 

@@ -288,83 +288,6 @@ func (c *GenConfig) validate() error {
 	return nil
 }
 
-// Poisson generates N jobs with exponential interarrival times
-// calibrated so that the offered load on a capacity-Capacity resource
-// is Load. Release times are strictly increasing (paper WLOG: all
-// arrivals distinct).
-func Poisson(r *rng.Rand, cfg GenConfig) (*Trace, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	rate := cfg.Load * cfg.Capacity / cfg.Size.Mean()
-	tr := &Trace{Meta: map[string]string{
-		"process": "poisson",
-		"size":    cfg.Size.Name(),
-		"load":    fmt.Sprintf("%g", cfg.Load),
-	}}
-	t, sr := 0.0, cfg.sizeRand(r)
-	for i := 0; i < cfg.N; i++ {
-		t += r.Exp(rate)
-		tr.Jobs = append(tr.Jobs, Job{ID: i, Release: t, Size: cfg.Size.Sample(sr)})
-	}
-	return tr, nil
-}
-
-// Bursty generates jobs in bursts: burst starts form a Poisson process
-// and each burst releases BurstLen jobs back-to-back (separated by a
-// tiny jitter to keep arrival times distinct). This stresses the
-// congestion-awareness of assignment policies.
-func Bursty(r *rng.Rand, cfg GenConfig, burstLen int) (*Trace, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if burstLen < 1 {
-		return nil, errors.New("workload: burstLen must be >= 1")
-	}
-	rate := cfg.Load * cfg.Capacity / cfg.Size.Mean() / float64(burstLen)
-	tr := &Trace{Meta: map[string]string{
-		"process": fmt.Sprintf("bursty(%d)", burstLen),
-		"size":    cfg.Size.Name(),
-		"load":    fmt.Sprintf("%g", cfg.Load),
-	}}
-	t, id, sr := 0.0, 0, cfg.sizeRand(r)
-	for id < cfg.N {
-		t += r.Exp(rate)
-		for b := 0; b < burstLen && id < cfg.N; b++ {
-			// Distinct arrival times, per the paper's WLOG assumption.
-			t += 1e-9
-			tr.Jobs = append(tr.Jobs, Job{ID: id, Release: t, Size: cfg.Size.Sample(sr)})
-			id++
-		}
-	}
-	return tr, nil
-}
-
-// Adversarial generates the pattern that separates congestion-aware
-// assignment from proximity-based assignment: a steady trickle of
-// large jobs plus periodic floods of small jobs, all of which conflict
-// on the same root branch if assigned naively.
-func Adversarial(r *rng.Rand, n int, bigSize float64) *Trace {
-	tr := &Trace{Meta: map[string]string{"process": "adversarial"}}
-	t := 0.0
-	id := 0
-	for id < n {
-		// One big job ...
-		t += 1e-9
-		tr.Jobs = append(tr.Jobs, Job{ID: id, Release: t, Size: bigSize})
-		id++
-		// ... followed by a flood of unit jobs before it can drain.
-		flood := int(bigSize / 2)
-		for f := 0; f < flood && id < n; f++ {
-			t += 1e-9
-			tr.Jobs = append(tr.Jobs, Job{ID: id, Release: t, Size: 1})
-			id++
-		}
-		t += bigSize / 4
-	}
-	return tr
-}
-
 // UnrelatedConfig controls per-leaf processing time generation.
 type UnrelatedConfig struct {
 	Leaves int
@@ -404,33 +327,6 @@ func MakeUnrelated(r *rng.Rand, tr *Trace, cfg UnrelatedConfig) error {
 		tr.Meta = map[string]string{}
 	}
 	tr.Meta["endpoints"] = fmt.Sprintf("unrelated[%g,%g)", cfg.Lo, cfg.Hi)
-	return nil
-}
-
-// MakeRelated fills per-leaf sizes from fixed machine speeds: leaf i
-// processes every job at speed leafSpeeds[i], so p_{j,i} = p_j/s_i —
-// the related machines model of the paper's introduction, expressed
-// as a special case of unrelated endpoints.
-func MakeRelated(tr *Trace, leafSpeeds []float64) error {
-	if len(leafSpeeds) == 0 {
-		return errors.New("workload: MakeRelated needs at least one leaf speed")
-	}
-	for _, s := range leafSpeeds {
-		if s <= 0 {
-			return fmt.Errorf("workload: non-positive leaf speed %v", s)
-		}
-	}
-	for i := range tr.Jobs {
-		j := &tr.Jobs[i]
-		j.LeafSizes = make([]float64, len(leafSpeeds))
-		for li, s := range leafSpeeds {
-			j.LeafSizes[li] = j.Size / s
-		}
-	}
-	if tr.Meta == nil {
-		tr.Meta = map[string]string{}
-	}
-	tr.Meta["endpoints"] = "related"
 	return nil
 }
 

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -65,6 +66,10 @@ func TestBursty(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	want := map[string]string{"process": "bursty(10)", "size": "uniform[1,2)", "load": "0.9"}
+	if !reflect.DeepEqual(tr.Meta, want) {
+		t.Fatalf("Meta = %v, want %v", tr.Meta, want)
+	}
 	if _, err := Bursty(r, GenConfig{N: 10, Size: UniformSize{1, 2}, Load: 1}, 0); err == nil {
 		t.Fatal("accepted burstLen=0")
 	}
@@ -77,6 +82,9 @@ func TestAdversarial(t *testing.T) {
 	}
 	if tr.Jobs[0].Size != 16 {
 		t.Fatal("first adversarial job should be big")
+	}
+	if want := map[string]string{"process": "adversarial"}; !reflect.DeepEqual(tr.Meta, want) {
+		t.Fatalf("Meta = %v, want %v", tr.Meta, want)
 	}
 }
 
@@ -292,11 +300,16 @@ func TestDeterministicGeneration(t *testing.T) {
 	}
 }
 
-func TestMakeRelated(t *testing.T) {
+func TestRelatedSource(t *testing.T) {
 	r := rng.New(41)
-	tr, _ := Poisson(r, GenConfig{N: 20, Size: UniformSize{Lo: 2, Hi: 4}, Load: 0.5})
+	base, _ := NewPoissonSource(r, GenConfig{N: 20, Size: UniformSize{Lo: 2, Hi: 4}, Load: 0.5})
 	speeds := []float64{1, 2, 0.5}
-	if err := MakeRelated(tr, speeds); err != nil {
+	src, err := NewRelatedSource(base, speeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Collect(src)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range tr.Jobs {
@@ -307,10 +320,14 @@ func TestMakeRelated(t *testing.T) {
 			}
 		}
 	}
-	if err := MakeRelated(tr, nil); err == nil {
+	want := map[string]string{"process": "poisson", "size": "uniform[2,4)", "load": "0.5", "endpoints": "related"}
+	if !reflect.DeepEqual(tr.Meta, want) {
+		t.Fatalf("Meta = %v, want %v", tr.Meta, want)
+	}
+	if _, err := NewRelatedSource(base, nil); err == nil {
 		t.Fatal("accepted empty speeds")
 	}
-	if err := MakeRelated(tr, []float64{1, -1}); err == nil {
+	if _, err := NewRelatedSource(base, []float64{1, -1}); err == nil {
 		t.Fatal("accepted negative speed")
 	}
 }
