@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-race test-race-parallel bench bench-json bench-compare bench-dispatch stream-smoke fleet-smoke serve-smoke fuzz-smoke ci experiments examples clean
+.PHONY: all build vet fmt-check test test-short test-race test-race-parallel bench bench-json bench-compare bench-dispatch stream-smoke fleet-smoke serve-smoke fuzz-smoke ci experiments examples clean
 
 all: build vet test test-race
 
@@ -11,6 +11,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fail if any tracked Go file is not gofmt-clean (lists the offenders).
+fmt-check:
+	@out="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -78,13 +83,14 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzJobDecode -fuzztime=10s ./internal/workload
 	$(GO) test -run=^$$ -fuzz=FuzzJobEncode -fuzztime=10s ./internal/workload
 	$(GO) test -run=^$$ -fuzz=FuzzMetricsEncode -fuzztime=10s ./internal/sim
+	$(GO) test -run=^$$ -fuzz=FuzzAppendJSONFloat -fuzztime=10s ./internal/jsonnum
 
-# Everything CI needs: build, vet, race-clean short tests, a smoke
-# run of the benchmark harness (fast benchtime, throwaway output), the
-# constant-memory streaming, fleet determinism and serving-layer
-# overload checks, and a run of every example (packetrouting drives
-# RunPacketized end to end).
-ci: build vet test-race test-race-parallel stream-smoke fleet-smoke serve-smoke examples
+# Everything CI needs: build, vet, a gofmt check, race-clean short
+# tests, a smoke run of the benchmark harness (fast benchtime,
+# throwaway output), the constant-memory streaming, fleet determinism
+# and serving-layer overload checks, and a run of every example
+# (packetrouting drives RunPacketized end to end).
+ci: build vet fmt-check test-race test-race-parallel stream-smoke fleet-smoke serve-smoke examples
 	$(GO) run ./cmd/bench -quick -out /tmp/BENCH_ci.json
 
 # Regenerate EXPERIMENTS.md (sequential so B4 throughput is clean).

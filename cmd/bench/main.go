@@ -95,6 +95,15 @@
 // trace length), the per-job serving-path allocation cost the
 // -serve-smoke probe bounds.
 //
+//	codec/metrics-encode  sim.AppendJobMetrics over the engine/cold
+//	                      run's 2,000 per-job metrics (the NDJSON sink
+//	                      and daemon completion-stream encoder)
+//	codec/job-encode      workload.AppendJob over the same 2,000-job
+//	                      trace (tracegen -stream and the daemon client)
+//
+// Codec kernels also report ns_per_line and allocs_per_line (per
+// encoded record).
+//
 //	rng_partition/legacy  generate a 2,000-job workload (sizes and
 //	                      weights) from a legacy partition, where every
 //	                      stream name aliases one shared state
@@ -140,6 +149,8 @@ import (
 
 	"treesched"
 	"treesched/internal/experiments"
+	"treesched/internal/sim"
+	"treesched/internal/workload"
 )
 
 // benchFile is the JSON document written to -out.
@@ -224,13 +235,19 @@ type benchLine struct {
 	// trace through the serving path and per-job allocation is the
 	// figure of merit the serve-smoke probe bounds.
 	AllocsPerJob float64 `json:"allocs_per_job,omitempty"`
+	// NsPerLine and AllocsPerLine divide by the records one op
+	// encodes — reported for the codec/* kernels only.
+	NsPerLine     float64  `json:"ns_per_line,omitempty"`
+	AllocsPerLine *float64 `json:"allocs_per_line,omitempty"`
 }
 
 // kernel is one named benchmark; events is the deterministic number of
-// engine events one iteration processes (0 when not meaningful).
+// engine events one iteration processes and lines the number of
+// records it encodes (each 0 when not meaningful).
 type kernel struct {
 	name   string
 	events int64
+	lines  int64
 	fn     func(b *testing.B)
 }
 
@@ -339,9 +356,16 @@ func main() {
 		if k.events > 0 && strings.HasPrefix(k.name, "server/") {
 			line.AllocsPerJob = float64(line.AllocsPerOp) / float64(k.events)
 		}
+		perLine := ""
+		if k.lines > 0 {
+			allocs := float64(line.AllocsPerOp) / float64(k.lines)
+			line.NsPerLine = line.NsPerOp / float64(k.lines)
+			line.AllocsPerLine = &allocs
+			perLine = fmt.Sprintf(" %8.1f ns/line %6.3f allocs/line", line.NsPerLine, allocs)
+		}
 		doc.Benchmarks = append(doc.Benchmarks, line)
-		fmt.Fprintf(os.Stderr, "%-24s %12.0f ns/op %10d allocs/op %12d B/op\n",
-			k.name, line.NsPerOp, line.AllocsPerOp, line.BytesPerOp)
+		fmt.Fprintf(os.Stderr, "%-24s %12.0f ns/op %10d allocs/op %12d B/op%s\n",
+			k.name, line.NsPerOp, line.AllocsPerOp, line.BytesPerOp, perLine)
 		if k.name == "engine/dispatch-warm" {
 			doc.DispatchBaseline = append(doc.DispatchBaseline,
 				dispatchBaselineRow{
@@ -499,6 +523,23 @@ func regressions(baseline, current *benchFile, threshold float64) []string {
 	return out
 }
 
+// encodeKernel times enc over every record, appending into one reused
+// buffer as the NDJSON sinks and the daemon do.
+func encodeKernel[T any](name string, recs []T, enc func([]byte, *T) ([]byte, error)) kernel {
+	return kernel{name: name, lines: int64(len(recs)), fn: func(b *testing.B) {
+		var buf []byte
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j := range recs {
+				var err error
+				if buf, err = enc(buf[:0], &recs[j]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}}
+}
+
 // buildKernels constructs the kernel set plus the deferred oblivious
 // (engine/sharded) scaling table, deferred so its timed runs happen
 // after the named kernels, matching the output order. The engine
@@ -563,6 +604,13 @@ func buildKernels(seed uint64, scale float64, streamEvents int64) ([]kernel, fun
 			},
 		},
 	}
+
+	// The NDJSON encoders over the same trace: its 2,000 jobs and the
+	// calibration run's 2,000 per-job metrics.
+	ks = append(ks,
+		encodeKernel("codec/metrics-encode", calib.Jobs, sim.AppendJobMetrics),
+		encodeKernel("codec/job-encode", tr.Jobs, workload.AppendJob),
+	)
 
 	// The declarative layer on the same workload: the scenario below
 	// reproduces tr bit for bit (PoissonTrace is uniform:1,16 with

@@ -4,8 +4,10 @@
 // and a fresh []byte per job, which BENCH_7 showed dominating the
 // daemon's hot path. AppendJobMetrics writes the exact bytes
 // json.Marshal would produce — same field order, same float
-// formatting — into a caller-reused buffer instead. The equivalence
-// is not aspirational: TestMetricsEncodeMatchesStdlib and
+// formatting — into a caller-reused buffer instead. There is no float
+// formatter here: every float field goes through jsonnum.AppendFloat,
+// the one kernel shared with workload.AppendJob. The equivalence is
+// not aspirational: TestMetricsEncodeMatchesStdlib and
 // FuzzMetricsEncode pin it byte for byte, so the daemon's
 // byte-identity contract (completion streams == offline RunStream
 // output) survives the codec swap.
@@ -15,28 +17,9 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-)
 
-// appendJSONFloat appends f formatted exactly as encoding/json
-// formats a float64: shortest representation, 'f' form except for
-// magnitudes below 1e-6 or at/above 1e21, with the exponent's leading
-// zero trimmed ("e-09" -> "e-9") to match ES6 number-to-string. f
-// must be finite (encoding/json rejects NaN/Inf; callers gate).
-func appendJSONFloat(b []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
+	"treesched/internal/jsonnum"
+)
 
 // AppendJobMetrics appends m as one compact JSON object — the exact
 // bytes json.Marshal(m) produces — and returns the extended buffer.
@@ -49,17 +32,17 @@ func AppendJobMetrics(dst []byte, m *JobMetrics) ([]byte, error) {
 	dst = append(dst, `{"ID":`...)
 	dst = strconv.AppendInt(dst, int64(m.ID), 10)
 	dst = append(dst, `,"Release":`...)
-	dst = appendJSONFloat(dst, m.Release)
+	dst = jsonnum.AppendFloat(dst, m.Release)
 	dst = append(dst, `,"Completion":`...)
-	dst = appendJSONFloat(dst, m.Completion)
+	dst = jsonnum.AppendFloat(dst, m.Completion)
 	dst = append(dst, `,"Flow":`...)
-	dst = appendJSONFloat(dst, m.Flow)
+	dst = jsonnum.AppendFloat(dst, m.Flow)
 	dst = append(dst, `,"Leaf":`...)
 	dst = strconv.AppendInt(dst, int64(m.Leaf), 10)
 	dst = append(dst, `,"PathWork":`...)
-	dst = appendJSONFloat(dst, m.PathWork)
+	dst = jsonnum.AppendFloat(dst, m.PathWork)
 	dst = append(dst, `,"Weight":`...)
-	dst = appendJSONFloat(dst, m.Weight)
+	dst = jsonnum.AppendFloat(dst, m.Weight)
 	dst = append(dst, '}')
 	return dst, nil
 }

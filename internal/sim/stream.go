@@ -237,7 +237,8 @@ func (s *Sim) streamResult(n int) (*Result, error) {
 
 // WriteNDJSON writes the result as newline-delimited JSON: one
 // {"stats":...} header line (with the streaming accumulator when
-// present) followed by one compact object per retained job. Unlike
+// present) followed by one compact object per retained job, written
+// by AppendJobMetrics in the bytes json.Encoder would produce. Unlike
 // WriteJSON it never builds one giant document, so large results
 // stream to disk in constant memory.
 func (r *Result) WriteNDJSON(w io.Writer) error {
@@ -250,8 +251,9 @@ func (r *Result) WriteNDJSON(w io.Writer) error {
 	if err := enc.Encode(hdr); err != nil {
 		return err
 	}
+	sink := NewNDJSONSink(bw)
 	for i := range r.Jobs {
-		if err := enc.Encode(&r.Jobs[i]); err != nil {
+		if err := sink.Emit(&r.Jobs[i]); err != nil {
 			return err
 		}
 	}

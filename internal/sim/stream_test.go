@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"strings"
@@ -238,7 +239,8 @@ func TestRunPacketizedRejectsStreaming(t *testing.T) {
 }
 
 // TestStreamWriteNDJSON checks the streaming result writer: a header
-// line plus one line per retained job.
+// line plus one line per retained job, byte-identical to json.Encoder
+// over the same records.
 func TestStreamWriteNDJSON(t *testing.T) {
 	tr := tree.FatTree(2, 2, 2)
 	trace := resetTestTrace(t, 60)
@@ -256,6 +258,23 @@ func TestStreamWriteNDJSON(t *testing.T) {
 	}
 	if !strings.HasPrefix(buf.String(), "{\"stats\":") {
 		t.Fatal("NDJSON header line missing stats")
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	hdr := struct {
+		Stats  Stats        `json:"stats"`
+		Stream *StreamStats `json:"stream,omitempty"`
+	}{res.Stats, res.Stream}
+	if err := enc.Encode(hdr); err != nil {
+		t.Fatal(err)
+	}
+	for i := range res.Jobs {
+		if err := enc.Encode(&res.Jobs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+		t.Fatalf("WriteNDJSON differs from json.Encoder:\n got  %.300q\n want %.300q", buf.Bytes(), want.Bytes())
 	}
 }
 

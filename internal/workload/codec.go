@@ -2,7 +2,9 @@
 // decodes one Job per submitted line and the client encodes one per
 // POST; both went through encoding/json's reflective walk, which
 // BENCH_7 showed as a top serving-tax component. AppendJob emits the
-// exact bytes json.Marshal produces into a caller-reused buffer, and
+// exact bytes json.Marshal produces into a caller-reused buffer,
+// formatting every float with jsonnum.AppendFloat (the kernel shared
+// with sim.AppendJobMetrics; there is no private formatter here), and
 // fastParseJob decodes the strict common case (flat object, plain
 // field names, JSON-grammar numbers) without reflection. The parser
 // is deliberately paranoid: any deviation — unknown or escaped keys,
@@ -16,26 +18,9 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-)
 
-// appendJSONFloat appends f formatted exactly as encoding/json does:
-// shortest form, 'f' notation except below 1e-6 or at/above 1e21,
-// exponent leading zero trimmed. f must be finite.
-func appendJSONFloat(b []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
+	"treesched/internal/jsonnum"
+)
 
 // AppendJob appends j as one compact JSON object — the exact bytes
 // json.Marshal(j) produces — and returns the extended buffer. No
@@ -48,9 +33,9 @@ func AppendJob(dst []byte, j *Job) ([]byte, error) {
 	dst = append(dst, `{"ID":`...)
 	dst = strconv.AppendInt(dst, int64(j.ID), 10)
 	dst = append(dst, `,"Release":`...)
-	dst = appendJSONFloat(dst, j.Release)
+	dst = jsonnum.AppendFloat(dst, j.Release)
 	dst = append(dst, `,"Size":`...)
-	dst = appendJSONFloat(dst, j.Size)
+	dst = jsonnum.AppendFloat(dst, j.Size)
 	dst = append(dst, `,"LeafSizes":`...)
 	if j.LeafSizes == nil {
 		dst = append(dst, "null"...)
@@ -60,12 +45,12 @@ func AppendJob(dst []byte, j *Job) ([]byte, error) {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendJSONFloat(dst, v)
+			dst = jsonnum.AppendFloat(dst, v)
 		}
 		dst = append(dst, ']')
 	}
 	dst = append(dst, `,"Weight":`...)
-	dst = appendJSONFloat(dst, j.Weight)
+	dst = jsonnum.AppendFloat(dst, j.Weight)
 	dst = append(dst, `,"Origin":`...)
 	dst = strconv.AppendInt(dst, int64(j.Origin), 10)
 	dst = append(dst, '}')

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"hash/fnv"
 	"io"
@@ -194,6 +195,16 @@ func TestStreamNDJSONRoundTrip(t *testing.T) {
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines != cfg.N {
 		t.Fatalf("NDJSON has %d lines, want %d", lines, cfg.N)
+	}
+	var enc bytes.Buffer
+	je := json.NewEncoder(&enc)
+	for i := range want.Jobs {
+		if err := je.Encode(&want.Jobs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(buf.Bytes(), enc.Bytes()) {
+		t.Fatalf("StreamNDJSON differs from json.Encoder:\n got  %.300q\n want %.300q", buf.Bytes(), enc.Bytes())
 	}
 
 	back, err := Collect(NewNDJSONSource(&buf))
