@@ -27,13 +27,15 @@ test-race:
 	$(GO) test -race -short ./...
 
 # Deep race stress for the engine's one parallel path (oblivious
-# sharded replay) and the sequential paths that must ignore Workers
-# (querying dispatch, streaming): force 4 scheduler threads so the
-# worker pool really interleaves, even on boxes where GOMAXPROCS would
-# default lower.
+# sharded replay), the sequential paths that must ignore Workers
+# (querying dispatch, streaming), and the completion pipeline (the
+# emitter goroutine behind every sink and the daemon's fan-out):
+# force 4 scheduler threads so the goroutines really interleave, even
+# on boxes where GOMAXPROCS would default lower.
 test-race-parallel:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		-run 'Shard|Stream|Parallel|FStat' ./internal/sim ./internal/scenario
+		-run 'Shard|Stream|Parallel|FStat|Sink|Emit|Fanout|Completions|Flush' \
+		./internal/sim ./internal/scenario ./internal/server
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

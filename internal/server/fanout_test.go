@@ -2,7 +2,13 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -147,5 +153,168 @@ func TestSlowSubscriberDroppedOnce(t *testing.T) {
 	}
 	if _, ok := <-sub.ch; ok {
 		t.Fatal("subscriber channel not closed after drop")
+	}
+}
+
+// stallWriter blocks every body write until gate closes, standing in
+// for a client that stopped reading (without needing the kernel's
+// socket buffers to fill first).
+type stallWriter struct {
+	http.ResponseWriter
+	gate chan struct{}
+}
+
+func (w *stallWriter) Write(p []byte) (int, error) {
+	<-w.gate
+	return w.ResponseWriter.Write(p)
+}
+
+func (w *stallWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
+
+// A subscriber the fan-out dropped must not see the clean end of
+// stream a drain produces: its response is aborted, so the read fails
+// with an error other than io.EOF. A subscriber that kept up still
+// ends with a clean io.EOF.
+func TestDroppedSubscriberStreamAborts(t *testing.T) {
+	sc := serveScenario(t, "topo=star:4 serve")
+	const n = 40
+
+	t.Run("dropped", func(t *testing.T) {
+		srv, err := New(Config{Scenario: sc, FlushLines: 1, SubscriberBuffer: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gate := make(chan struct{})
+		h := srv.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/completions" {
+				w = &stallWriter{ResponseWriter: w, gate: gate}
+			}
+			h.ServeHTTP(w, r)
+		}))
+		released := false
+		t.Cleanup(func() {
+			if !released {
+				close(gate)
+			}
+			srv.Drain()
+			ts.Close()
+		})
+		cl := &Client{Base: ts.URL}
+		stream, err := cl.Completions(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stream.Close()
+		if _, err := cl.Submit(context.Background(), spacedJobs(n)); err != nil {
+			t.Fatal(err)
+		}
+		final, err := cl.Drain(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.Completed != n || final.Dropped != 1 {
+			t.Fatalf("completed %d, dropped %d; want %d and 1", final.Completed, final.Dropped, n)
+		}
+		close(gate)
+		released = true
+		body, err := io.ReadAll(stream)
+		if err == nil {
+			t.Fatalf("dropped subscriber's stream ended cleanly after %d bytes", len(body))
+		}
+		if errors.Is(err, io.EOF) {
+			t.Fatalf("dropped subscriber's read ended in %v, want an abort", err)
+		}
+	})
+
+	t.Run("drained", func(t *testing.T) {
+		_, cl, _ := startDaemon(t, Config{Scenario: sc, FlushLines: 1})
+		stream, err := cl.Completions(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stream.Close()
+		if _, err := cl.Submit(context.Background(), spacedJobs(n)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 1<<16)
+		var lines int
+		for {
+			k, err := stream.Read(buf)
+			lines += bytes.Count(buf[:k], []byte{'\n'})
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("drained subscriber's read failed: %v", err)
+			}
+		}
+		if lines != n {
+			t.Fatalf("drained subscriber read %d lines, want %d", lines, n)
+		}
+	})
+}
+
+// flushCountWriter is a ResponseWriter that records the body and
+// counts Flush calls. Its first Flush (the handler's header flush)
+// reports the subscription and waits for the test.
+type flushCountWriter struct {
+	hdr        http.Header
+	body       bytes.Buffer
+	flushes    int
+	subscribed chan struct{}
+	gate       chan struct{}
+}
+
+func (w *flushCountWriter) Header() http.Header         { return w.hdr }
+func (w *flushCountWriter) WriteHeader(int)             {}
+func (w *flushCountWriter) Write(p []byte) (int, error) { return w.body.Write(p) }
+
+func (w *flushCountWriter) Flush() {
+	if w.flushes++; w.flushes == 1 {
+		close(w.subscribed)
+		<-w.gate
+	}
+}
+
+// The completion handler writes every chunk already queued for it and
+// flushes once per wake-up: same bytes, fewer flushes when the reader
+// lags.
+func TestCompletionsCoalesceQueuedChunks(t *testing.T) {
+	sc := serveScenario(t, "topo=star:4 serve")
+	srv, _, _ := startDaemon(t, Config{Scenario: sc})
+	w := &flushCountWriter{hdr: http.Header{}, subscribed: make(chan struct{}), gate: make(chan struct{})}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.handleCompletions(w, httptest.NewRequest(http.MethodGet, "/completions", nil))
+	}()
+	<-w.subscribed
+	chunks := []string{"{\"a\":1}\n", "{\"b\":2}\n{\"c\":3}\n", "{\"d\":4}\n"}
+	var subs []*subscriber
+	srv.subMu.Lock()
+	for _, sub := range srv.subs {
+		subs = append(subs, sub)
+	}
+	srv.subMu.Unlock()
+	if len(subs) != 1 {
+		t.Fatalf("%d subscribers, want 1", len(subs))
+	}
+	for _, c := range chunks {
+		subs[0].ch <- []byte(c)
+	}
+	close(w.gate)
+	if err := srv.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if got, want := w.body.String(), strings.Join(chunks, ""); got != want {
+		t.Fatalf("body %q, want %q", got, want)
+	}
+	if w.flushes != 2 {
+		t.Fatalf("%d flushes, want 2 (the header and one for all three queued chunks)", w.flushes)
 	}
 }

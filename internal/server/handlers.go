@@ -206,7 +206,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // handleCompletions streams completions as NDJSON until the run
 // drains, the subscriber falls behind (dropped), or the client goes
 // away. Lines are the engine's own bytes: identical to what
-// sim.NDJSONSink writes offline.
+// sim.NDJSONSink writes offline. Each wake-up writes every chunk
+// already queued and flushes once, so a lagging reader costs fewer
+// writes, not different bytes. A drained run ends the response
+// cleanly; a dropped subscriber's response is aborted instead, so the
+// client's read fails rather than looking like a complete stream.
 func (s *Server) handleCompletions(w http.ResponseWriter, r *http.Request) {
 	id, sub := s.subscribe()
 	defer s.unsubscribe(id)
@@ -217,18 +221,35 @@ func (s *Server) handleCompletions(w http.ResponseWriter, r *http.Request) {
 		fl.Flush()
 	}
 	for {
+		var chunk []byte
+		var ok bool
 		select {
-		case line, ok := <-sub.ch:
-			if !ok {
-				return
-			}
-			if _, err := w.Write(line); err != nil {
-				return
+		case chunk, ok = <-sub.ch:
+		case <-r.Context().Done():
+			return
+		}
+		if ok {
+			// Write every chunk already queued, then flush once.
+			for more := true; more; {
+				if _, err := w.Write(chunk); err != nil {
+					return
+				}
+				select {
+				case chunk, more = <-sub.ch:
+					ok = more
+				default:
+					more = false
+				}
 			}
 			if fl != nil {
 				fl.Flush()
 			}
-		case <-r.Context().Done():
+		}
+		if !ok {
+			if sub.dropped {
+				// Set before the channel was closed, under subMu.
+				panic(http.ErrAbortHandler)
+			}
 			return
 		}
 	}

@@ -8,9 +8,10 @@
 // sim.RunStreamOn over the admission queue, and streaming hooks force
 // sequential execution, so the sequence of accepted jobs produces
 // per-job NDJSON byte-identical to an offline sim.RunStream over the
-// same trace (pinned by TestCompletionsByteIdentical). Admission
-// control only decides *which* jobs enter that sequence, never how
-// they run.
+// same trace (pinned by TestCompletionsByteIdentical). The fan-out
+// sink runs on the engine's emitter goroutine, which receives the
+// completions in the engine's completion order. Admission control
+// only decides *which* jobs enter that sequence, never how they run.
 //
 // Clock semantics: the engine runs on virtual time that advances on
 // arrivals and at drain. Between arrivals the engine blocks waiting
@@ -217,7 +218,7 @@ type Server struct {
 	fanout *fanoutSink
 
 	// statsMu guards the engine-side snapshot, written by the fanout
-	// sink on the engine goroutine at each completion.
+	// sink on the engine's emitter goroutine at each chunk flush.
 	statsMu    sync.Mutex
 	statsCopy  sim.StreamStats
 	engineErr  error
@@ -231,7 +232,7 @@ type Server struct {
 	subsClosed bool
 	dropped    int
 
-	// nsubs mirrors len(subs) for the engine goroutine: the fan-out
+	// nsubs mirrors len(subs) for the emitter goroutine: the fan-out
 	// sink reads it lock-free at every completion to skip NDJSON
 	// encoding entirely while nobody is streaming — a daemon with no
 	// attached completion readers pays no marshal cost at all.
@@ -335,10 +336,10 @@ func (s *Server) putBatch(b []workload.Job) {
 // admitted or the queue is closed by Drain. Admission already
 // validated everything the engine's arrival step checks, so the
 // engine loop cannot fail on client input. Before any blocking
-// receive it flushes the completion fan-out: the engine is about to go
-// idle, so whatever the last injections completed must not sit in the
-// chunk buffer waiting for the next arrival (the fan-out's latency
-// bound).
+// receive it flushes the engine's completions: the engine is about to
+// go idle, so whatever the last injections completed must not sit in
+// a completion batch or the fan-out's chunk buffer waiting for the
+// next arrival (the fan-out's latency bound).
 type queueSource struct {
 	s     *Server
 	batch []workload.Job
@@ -359,7 +360,7 @@ func (q *queueSource) Next() (workload.Job, bool) {
 			q.batch, q.pos = b, 0
 		default:
 			// Queue empty: deliver buffered completions, then block.
-			q.s.fanout.flush()
+			q.s.sim.FlushCompletions()
 			b, ok := <-q.s.in
 			if !ok {
 				return workload.Job{}, false
@@ -376,10 +377,10 @@ func (q *queueSource) Next() (workload.Job, bool) {
 func (q *queueSource) Err() error { return nil }
 
 func (s *Server) engineLoop() {
+	// RunStreamOn returns with every completion emitted and the
+	// fan-out flushed (the run's final join), so the tail chunk is out
+	// before the final stats copy and the subscriber close below.
 	res, err := sim.RunStreamOn(s.sim, &queueSource{s: s}, s.inst.Assigner)
-	// Deliver the tail chunk (completions since the last flush) before
-	// the final stats copy and the subscriber close below.
-	s.fanout.flush()
 	s.statsMu.Lock()
 	if err != nil {
 		s.engineErr = err
@@ -405,7 +406,7 @@ func (s *Server) copyStats(acc *sim.StreamStats) {
 	s.statsCopy.PerLeaf = per[:copy(per, acc.PerLeaf)]
 }
 
-// fanoutSink runs on the engine goroutine at every completion,
+// fanoutSink is the engine's JobSink, called at every completion,
 // coalescing lines into chunk buffers so the per-completion costs —
 // stats snapshot under statsMu, subMu acquisition, one channel send
 // per subscriber, and the subscriber's per-write Flush — are paid
@@ -413,9 +414,12 @@ func (s *Server) copyStats(acc *sim.StreamStats) {
 // pooled append codec (sim.AppendJobMetrics), byte-for-byte what
 // json.Encoder.Encode (sim.NDJSONSink) writes, which is what the
 // byte-identity contract is pinned against. Latency stays bounded: a
-// chunk flushes at max lines, and queueSource flushes whenever the
-// engine is about to block on an empty queue. Engine goroutine only
-// (streaming hooks force a single worker), so no locking around buf.
+// chunk flushes at max lines, and at every sim.FlushCompletions,
+// which queueSource calls whenever the engine is about to block on an
+// empty queue. Emit and Flush run only on the engine's emitter
+// goroutine, one call at a time, and that goroutine is the only one
+// touching the stream accumulator during the run, so neither buf nor
+// the StreamStats snapshot needs a lock of its own.
 type fanoutSink struct {
 	s     *Server
 	buf   []byte
@@ -436,18 +440,20 @@ func (f *fanoutSink) Emit(m *sim.JobMetrics) error {
 		f.buf = append(f.buf, '\n')
 	}
 	if f.lines++; f.lines >= f.max {
-		f.flush()
+		return f.Flush()
 	}
 	return nil
 }
 
-// flush snapshots the stats accumulator and distributes the buffered
+// Flush snapshots the stats accumulator and distributes the buffered
 // chunk to every subscriber. No-op on an empty buffer. Subscribers
 // share the chunk slice read-only; the buffer is reused only when no
-// subscriber received it.
-func (f *fanoutSink) flush() {
+// subscriber received it. Besides full chunks from Emit, the engine
+// calls it after the last Emit of each FlushCompletions hand-off and
+// at the end of the run. It never fails.
+func (f *fanoutSink) Flush() error {
 	if f.lines == 0 {
-		return
+		return nil
 	}
 	s := f.s
 	s.statsMu.Lock()
@@ -458,7 +464,7 @@ func (f *fanoutSink) flush() {
 	if len(chunk) == 0 {
 		// Every line of the chunk was skipped (no subscribers at emit
 		// time); the stats snapshot above was the flush's only job.
-		return
+		return nil
 	}
 	sent := 0
 	s.subMu.Lock()
@@ -482,6 +488,7 @@ func (f *fanoutSink) flush() {
 	} else {
 		f.buf = nil
 	}
+	return nil
 }
 
 // subscribe registers a completion stream. The returned channel

@@ -117,6 +117,7 @@ func RunOn(s *Sim, trace *workload.Trace, asg Assigner) (*Result, error) {
 // state at each arrival, so the commit loop cannot fan out.
 func ReplayOn(s *Sim, trace *workload.Trace, asg Assigner) (err error) {
 	defer recoverInternal(&err)
+	defer s.joinEmitter()
 	if _, oblivious := asg.(ObliviousAssigner); oblivious {
 		if w := s.workerCount(); w > 1 {
 			return s.replayParallel(trace, asg, w)
@@ -271,6 +272,7 @@ func RunStreamOn(s *Sim, src workload.ArrivalSource, asg Assigner) (*Result, err
 // replay.
 func ReplayStreamOn(s *Sim, src workload.ArrivalSource, asg Assigner) (n int, err error) {
 	defer recoverInternal(&err)
+	defer s.joinEmitter()
 	if ts, ok := src.(*workload.TraceSource); ok && s.stream == nil {
 		tr := ts.Trace()
 		return len(tr.Jobs), ReplayOn(s, tr, asg)

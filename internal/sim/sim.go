@@ -225,6 +225,7 @@ type Options struct {
 	// Sink, when non-nil, receives every completed job's metrics in
 	// completion order (e.g. an NDJSONSink writing per-job records to
 	// disk), so the full record can live on disk instead of in RAM.
+	// Emit runs on the engine's emitter goroutine (see JobSink).
 	// Installing a sink forces sequential execution, like
 	// RetainJobs > 0. Not supported by RunPacketized.
 	Sink JobSink
@@ -345,6 +346,10 @@ type Sim struct {
 	// retention ring); nil unless Options.RetainJobs or Options.Sink
 	// is set.
 	stream *streamState
+	// emit is the completion pipeline that runs the streaming hooks
+	// off the engine goroutine; created at the first streamed
+	// completion and kept across Reset.
+	emit *emitter
 }
 
 // New creates an engine for the given tree.
@@ -476,6 +481,7 @@ func (s *Sim) applyOptions(opts Options) {
 // this engine become invalid. Extract any metrics you need before
 // resetting.
 func (s *Sim) Reset(opts Options) {
+	s.joinEmitter()
 	for _, js := range s.tasks {
 		if js == nil {
 			continue // slot of a run aborted mid-parallel-injection
@@ -1142,6 +1148,9 @@ func (s *Sim) advanceInterleaved(k int, to float64, lockstep bool) {
 // fails, and nil on a clean drain.
 func (s *Sim) Drain() (err error) {
 	defer recoverInternal(&err)
+	// Every completion is emitted before Drain returns, also when an
+	// internal panic cut the drain short.
+	defer s.joinEmitter()
 	if s.interleavedMode() {
 		s.runInterleaved(0, true)
 	} else {
@@ -1432,8 +1441,8 @@ func (s *Sim) handleFinish(v tree.NodeID) {
 		li := s.tree.LeafIndex(js.Leaf)
 		s.assignedRemove(li, js)
 		if s.stream != nil {
-			// Streaming hooks: accumulate/emit the metrics and, in
-			// recycle mode, return js to the freelist (it is not
+			// Streaming hooks: queue the metrics for the emitter and,
+			// in recycle mode, return js to the freelist (it is not
 			// referenced again below).
 			s.streamComplete(sh, js, li)
 		}
@@ -1563,11 +1572,13 @@ func (s *Sim) totals() (fracFlow, activeIntegral float64, events int64) {
 
 // Stats computes summary statistics of the run so far. In
 // bounded-retention streaming mode the completion-dependent fields
-// come from the online accumulator (there is no task list to walk).
+// come from the online accumulator (there is no task list to walk),
+// read after joining the emitter.
 func (s *Sim) Stats() Stats {
 	var st Stats
 	st.FracFlow, st.ActiveIntegral, st.Events = s.totals()
 	if s.recycling() {
+		s.joinEmitter()
 		a := &s.stream.acc
 		st.Completed = a.Completed
 		st.TotalFlow = a.TotalFlow

@@ -1,8 +1,12 @@
 // Streaming run support: an online metrics accumulator, a per-job
 // sink, and a bounded retention ring, so the engine can ingest
 // million-job arrival streams in memory independent of trace length.
-// The hooks live on the completion path (handleFinish) and are inert
-// — one nil check — unless Options.RetainJobs or Options.Sink is set.
+// The hooks are inert — one nil check on the completion path
+// (handleFinish) — unless Options.RetainJobs or Options.Sink is set.
+// When they are set, the engine copies each completion into a batch
+// and hands full batches, in completion order, to an emitter
+// goroutine that folds, retains and emits them, so the output work
+// runs beside the event loop instead of inside it.
 package sim
 
 import (
@@ -19,8 +23,24 @@ import (
 // valid for the duration of the call; copy it to retain. A non-nil
 // error stops emission (the run itself continues; the error is
 // reported when results are collected).
+//
+// Emit runs on a goroutine the engine owns for the run, one call at
+// a time, never concurrently with another Emit or Flush of the same
+// run; every call returns before RunStream, RunStreamOn or Drain
+// does. A sink that also has a Flush() error method is flushed after
+// the last Emit of each Sim.FlushCompletions hand-off and at the end
+// of the run; a Flush error counts as a sink error. Sim.StreamStats
+// may be read inside Emit and Flush, where it covers every completion
+// emitted so far, or after the run. Emit and Flush must not call the
+// engine's join points (Drain, Reset, Stats, a replay): they would
+// wait on the goroutine making the call.
 type JobSink interface {
 	Emit(m *JobMetrics) error
+}
+
+// sinkFlusher is the optional Flush half of a JobSink.
+type sinkFlusher interface {
+	Flush() error
 }
 
 // NDJSONSink writes one compact JSON object per completed job — the
@@ -133,7 +153,9 @@ func (a *StreamStats) snapshot() *StreamStats {
 }
 
 // streamState is the engine's streaming hook bundle, installed by
-// applyOptions when Options.RetainJobs or Options.Sink is set.
+// applyOptions when Options.RetainJobs or Options.Sink is set. While
+// a run is live its accumulator, ring and sink belong to the emitter
+// goroutine; the engine reads them only after joining it.
 type streamState struct {
 	acc StreamStats
 	// ring holds the last retain completions (recycle mode only).
@@ -147,11 +169,6 @@ type streamState struct {
 	// memory is bounded by the maximum number of concurrently active
 	// tasks rather than the trace length.
 	recycle bool
-	// scratch holds the metrics of the job currently being completed;
-	// a local would escape through the sink interface and cost one
-	// heap allocation per job. Safe to share: streaming hooks force a
-	// single worker, so completions are strictly sequential.
-	scratch JobMetrics
 }
 
 // push records m in the retention ring, evicting the oldest entry
@@ -176,13 +193,141 @@ func (st *streamState) ringOrdered() []JobMetrics {
 	return out
 }
 
+// emit runs the streaming hooks over one batch, in completion order:
+// fold each completion into the accumulator, emit it to the sink and
+// in recycle mode keep it in the retention ring; then flush the sink
+// if the batch asks for it. Emitter goroutine only.
+func (st *streamState) emit(b *emitBatch) {
+	for i := range b.recs[:b.n] {
+		c := &b.recs[i]
+		st.acc.observe(&c.m, c.li, c.leafWork)
+		if st.sink != nil && st.sinkErr == nil {
+			st.sinkErr = st.sink.Emit(&c.m)
+		}
+		if st.recycle {
+			st.push(&c.m)
+		}
+	}
+	if b.flush && st.sinkErr == nil {
+		if f, ok := st.sink.(sinkFlusher); ok {
+			st.sinkErr = f.Flush()
+		}
+	}
+}
+
+// emitBatchLen is how many completions one hand-off to the emitter
+// carries.
+const emitBatchLen = 512
+
+// emitPoolSize is how many batches a Sim may own. The engine fills one
+// while the emitter works through the others, and blocks when every
+// batch is in flight, so the pipeline's memory is fixed. Batches are
+// made as the engine first needs them: an emitter that keeps up
+// leaves a short run on a fresh engine with two.
+const emitPoolSize = 4
+
+// completion is one queued completion: the metrics the sink sees plus
+// the accumulator's per-leaf inputs.
+type completion struct {
+	m        JobMetrics
+	li       int
+	leafWork float64
+}
+
+// emitBatch is one hand-off from the engine to the emitter.
+type emitBatch struct {
+	recs [emitBatchLen]completion
+	n    int
+	// flush asks the emitter to flush the sink after the batch.
+	flush bool
+}
+
+// emitter is a Sim's completion pipeline: a fixed pool of batches
+// cycling between the engine, which fills them in completion order,
+// and one emitter goroutine per run, which runs the streaming hooks
+// over them. The pool survives Reset; the goroutine starts at the
+// first hand-off of a run and exits at the join (Sim.joinEmitter).
+type emitter struct {
+	// free holds the batches the emitter has finished; made counts
+	// the batches allocated so far (engine side).
+	free chan *emitBatch
+	made int
+	// work carries filled batches to the goroutine; a nil batch
+	// stops it, and it answers on done.
+	work chan *emitBatch
+	done chan struct{}
+	// Engine side: the batch being filled, whether the goroutine is
+	// running, and whether anything completed since the last flush.
+	cur     *emitBatch
+	running bool
+	pending bool
+	// panicVal is a panic recovered on the emitter goroutine (a
+	// panicking sink); the join re-raises it on the engine's.
+	panicVal any
+}
+
+func newEmitter() *emitter {
+	// Both channels hold the whole pool, so returning a batch to free
+	// never blocks the emitter.
+	return &emitter{
+		free: make(chan *emitBatch, emitPoolSize),
+		work: make(chan *emitBatch, emitPoolSize),
+		done: make(chan struct{}),
+	}
+}
+
+// batch returns an empty batch for the engine to fill: a finished
+// one, a new one while the pool is not full, or else the next one the
+// emitter finishes.
+func (e *emitter) batch() *emitBatch {
+	select {
+	case b := <-e.free:
+		return b
+	default:
+	}
+	if e.made < emitPoolSize {
+		e.made++
+		return new(emitBatch)
+	}
+	return <-e.free
+}
+
+// run is the emitter goroutine of one run. After a panic it only
+// recycles batches, so the engine never blocks on the pool.
+func (e *emitter) run(st *streamState) {
+	for {
+		b := <-e.work
+		if b == nil {
+			e.done <- struct{}{}
+			return
+		}
+		if e.panicVal == nil {
+			e.emit(st, b)
+		}
+		b.n = 0
+		e.free <- b
+	}
+}
+
+func (e *emitter) emit(st *streamState, b *emitBatch) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.panicVal = r
+		}
+	}()
+	st.emit(b)
+}
+
 // recycling reports bounded-retention mode: s.tasks is not populated
 // and completed JobStates are recycled at completion.
 func (s *Sim) recycling() bool { return s.stream != nil && s.stream.recycle }
 
 // StreamStats returns the run's online accumulator (nil unless the
 // engine has streaming hooks installed via Options.RetainJobs or
-// Options.Sink). Live engine state: read-only for callers.
+// Options.Sink). During a run the emitter goroutine updates it, so
+// read it only inside a JobSink's Emit or Flush, or after the run
+// (RunStream, RunStreamOn and Drain return with the emitter joined).
+// Read-only for callers.
 func (s *Sim) StreamStats() *StreamStats {
 	if s.stream == nil {
 		return nil
@@ -190,14 +335,21 @@ func (s *Sim) StreamStats() *StreamStats {
 	return &s.stream.acc
 }
 
-// streamComplete runs the streaming hooks for a task that just
-// completed on its leaf: fold into the accumulator, emit to the
-// sink, and in recycle mode stash the metrics in the retention ring
-// and return the JobState to the shard freelist.
+// streamComplete queues a task that just completed on its leaf for
+// the emitter and, in recycle mode, returns its JobState to the shard
+// freelist. A full batch goes to the emitter at once.
 func (s *Sim) streamComplete(sh *shardState, js *JobState, li int) {
-	st := s.stream
-	m := &st.scratch
-	*m = JobMetrics{
+	e := s.emit
+	if e == nil {
+		e = newEmitter()
+		s.emit = e
+	}
+	if e.cur == nil {
+		e.cur = e.batch()
+	}
+	b := e.cur
+	c := &b.recs[b.n]
+	c.m = JobMetrics{
 		ID:         js.ID,
 		Release:    js.Release,
 		Completion: js.Completion,
@@ -206,15 +358,72 @@ func (s *Sim) streamComplete(sh *shardState, js *JobState, li int) {
 		PathWork:   js.RouterSize*float64(len(js.Path)-1) + js.LeafWork,
 		Weight:     js.Weight,
 	}
-	st.acc.observe(m, li, js.LeafWork)
-	if st.sink != nil && st.sinkErr == nil {
-		st.sinkErr = st.sink.Emit(m)
+	c.li = li
+	c.leafWork = js.LeafWork
+	b.n++
+	e.pending = true
+	if b.n == emitBatchLen {
+		s.handOff(false)
 	}
-	if !st.recycle {
+	if s.stream.recycle {
+		sh.free = append(sh.free, js)
+	}
+}
+
+// handOff passes the batch being filled to the emitter goroutine,
+// starting the goroutine on a run's first hand-off.
+func (s *Sim) handOff(flush bool) {
+	e := s.emit
+	if !e.running {
+		e.running = true
+		go e.run(s.stream)
+	}
+	b := e.cur
+	e.cur = nil
+	b.flush = flush
+	e.work <- b
+}
+
+// FlushCompletions hands every completion queued so far to the
+// emitter, which emits them and then flushes the sink if it has a
+// Flush() error method. It does not wait for either. Nothing happens
+// when no job completed since the last flush. The daemon calls it
+// before the engine idles on an empty admission queue, so completed
+// lines never wait for the next arrival; the end of a run flushes on
+// its own.
+func (s *Sim) FlushCompletions() {
+	e := s.emit
+	if e == nil || !e.pending {
 		return
 	}
-	st.push(m)
-	sh.free = append(sh.free, js)
+	if e.cur == nil {
+		e.cur = e.batch()
+	}
+	e.pending = false
+	s.handOff(true)
+}
+
+// joinEmitter flushes the queued completions, waits until the emitter
+// goroutine has emitted them and exited, and re-raises a panic it
+// recovered. Only after it returns may the engine read the stream
+// state (accumulator, ring, sinkErr). Drain, every return of ReplayOn
+// and ReplayStreamOn, Reset and a recycle-mode Stats join.
+func (s *Sim) joinEmitter() {
+	e := s.emit
+	if e == nil {
+		return
+	}
+	s.FlushCompletions()
+	if !e.running {
+		return
+	}
+	e.work <- nil
+	<-e.done
+	e.running = false
+	if p := e.panicVal; p != nil {
+		e.panicVal = nil
+		panic(p)
+	}
 }
 
 // streamResult assembles the Result of a bounded-retention run from

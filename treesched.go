@@ -285,7 +285,10 @@ type (
 	// Result.Jobs and the value handed to JobSink implementations.
 	JobMetrics = sim.JobMetrics
 	// JobSink receives every completed job's metrics in completion
-	// order (see Options.Sink).
+	// order (see Options.Sink). Emit runs on the engine's emitter
+	// goroutine, one call at a time, and every call returns before the
+	// run does; a sink with a Flush() error method is also flushed at
+	// Sim.FlushCompletions and at the end of the run.
 	JobSink = sim.JobSink
 	// NDJSONSink writes one JSON line per completed job.
 	NDJSONSink = sim.NDJSONSink
