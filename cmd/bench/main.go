@@ -57,7 +57,15 @@
 //	engine/sharded     subtree-sharded engine at Workers = GOMAXPROCS on
 //	                   the same wide workload (bit-identical schedule)
 //	engine/dispatch-warm      state-querying (greedy) dispatch on the
-//	                          wide topology (always sequential)
+//	                          wide topology (always sequential) at
+//	                          speed 1: long root-adjacent queues
+//	engine/dispatch-replay    the same trace on the same warm engine,
+//	                          assigned to the leaves greedy chose by a
+//	                          stub that reads nothing; warm − replay
+//	                          is the dispatch tax (dispatch_tax table)
+//	engine/dispatch-warm-1.5x, engine/dispatch-replay-1.5x
+//	                          the same pair at speed 1.5, where the
+//	                          queues greedy reads hold 0–2 tasks
 //	engine/dispatch-deep      greedy dispatch on a deep, narrow
 //	                          topology (depth-6 root-to-leaf paths):
 //	                          store-and-forward hop work dominates, so
@@ -194,6 +202,20 @@ type benchFile struct {
 	// speedup; the retired BENCH_8.json record row is kept for
 	// continuity across the schema bump.
 	DispatchBaseline []dispatchBaselineRow `json:"dispatch_baseline,omitempty"`
+	// DispatchTax is what the greedy decisions cost in context: each
+	// engine/dispatch-warm* kernel minus its engine/dispatch-replay*
+	// twin, per job.
+	DispatchTax []dispatchTaxRow `json:"dispatch_tax,omitempty"`
+}
+
+// dispatchTaxRow is one greedy dispatch kernel next to its replay
+// twin (see dispatchPair).
+type dispatchTaxRow struct {
+	Name           string  `json:"name"`
+	GreedyNsPerJob float64 `json:"greedy_ns_per_job"`
+	ReplayNsPerJob float64 `json:"replay_ns_per_job"`
+	TaxNsPerJob    float64 `json:"tax_ns_per_job"`
+	TaxShare       float64 `json:"tax_share"`
 }
 
 type dispatchBaselineRow struct {
@@ -404,6 +426,11 @@ func main() {
 					Source:          "interleaved A/B minima, pre-fast-path build vs v9 on the same harness (kernel is new in v9)",
 				})
 		}
+	}
+	doc.DispatchTax = dispatchTax(doc.Benchmarks)
+	for _, row := range doc.DispatchTax {
+		fmt.Fprintf(os.Stderr, "dispatch tax %-22s %8.1f ns/job (%.0f%% of %.1f)\n",
+			row.Name, row.TaxNsPerJob, 100*row.TaxShare, row.GreedyNsPerJob)
 	}
 	if doc.GOMAXPROCS > 1 {
 		doc.Scaling = scaling()
@@ -765,24 +792,22 @@ func buildKernels(seed uint64, scale float64, streamEvents int64) ([]kernel, fun
 
 	// The dispatch-warm row runs the same wide workload under the
 	// greedy (state-querying) assigner, which always replays
-	// sequentially.
-	dispatchCalib, err := treesched.Run(wide, wideTr, treesched.NewGreedyIdentical(0.5), treesched.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	ks = append(ks, kernel{name: "engine/dispatch-warm", events: dispatchCalib.Stats.Events, fn: func(b *testing.B) {
-		opts := treesched.Options{Workers: 1}
-		s := treesched.NewSim(wide, opts)
-		asg := treesched.NewGreedyIdentical(0.5)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Reset(opts)
-			if _, err := treesched.RunOn(s, wideTr, asg); err != nil {
-				b.Fatal(err)
-			}
+	// sequentially. At speed 1 the trace overloads the tree, so the
+	// root-adjacent queues the rule reads are long; the -1.5x pair runs
+	// the same trace at speed 1.5, where they hold 0–2 tasks. Each
+	// greedy row has a replay twin that feeds the leaves greedy chose
+	// back through a fixed-assignment stub on the same warm engine:
+	// the difference is the dispatch tax (see dispatchTax).
+	for _, v := range []struct {
+		suffix string
+		t      *treesched.Tree
+	}{{"", wide}, {"-1.5x", wide.WithUniformSpeed(1.5)}} {
+		pair, err := dispatchPair(v.suffix, v.t, wideTr)
+		if err != nil {
+			return nil, nil, err
 		}
-	}})
+		ks = append(ks, pair...)
+	}
 
 	// The dispatch-deep row runs the greedy assigner on a deep, narrow
 	// topology (two branches, depth-6 root-to-leaf paths): each job
@@ -1532,4 +1557,83 @@ func serveAllocsPerJob() (float64, error) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "bench:", err)
 	os.Exit(1)
+}
+
+// dispatchPair builds the greedy dispatch kernel on t
+// (engine/dispatch-warm<suffix>) and its replay twin
+// (engine/dispatch-replay<suffix>): the same trace on the same warm
+// engine, assigned to the leaves the greedy run chose by a stub that
+// reads no engine state. The schedules are identical, so the rows
+// differ only by the cost of the greedy decisions.
+func dispatchPair(suffix string, t *treesched.Tree, tr *treesched.Trace) ([]kernel, error) {
+	calib, err := treesched.Run(t, tr, treesched.NewGreedyIdentical(0.5), treesched.Options{})
+	if err != nil {
+		return nil, err
+	}
+	rec := &recordedLeaves{leaves: make([]treesched.NodeID, len(tr.Jobs))}
+	for _, m := range calib.Jobs {
+		rec.leaves[m.ID] = m.Leaf
+	}
+	warm := func(asg treesched.Assigner) func(b *testing.B) {
+		return func(b *testing.B) {
+			opts := treesched.Options{Workers: 1}
+			s := treesched.NewSim(t, opts)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Reset(opts)
+				if _, err := treesched.RunOn(s, tr, asg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	events, jobs := calib.Stats.Events, int64(len(tr.Jobs))
+	return []kernel{
+		{name: "engine/dispatch-warm" + suffix, events: events, jobs: jobs, fn: warm(treesched.NewGreedyIdentical(0.5))},
+		{name: "engine/dispatch-replay" + suffix, events: events, jobs: jobs, fn: warm(rec)},
+	}, nil
+}
+
+// recordedLeaves assigns job ID i to leaves[i]. It is deliberately not
+// an ObliviousAssigner, so the engine runs the same sequential
+// state-querying path as the greedy row it replays.
+type recordedLeaves struct {
+	leaves []treesched.NodeID
+}
+
+func (r *recordedLeaves) Name() string { return "RecordedLeaves" }
+
+func (r *recordedLeaves) Assign(_ *treesched.Query, a *treesched.Arrival) treesched.NodeID {
+	return r.leaves[a.ID]
+}
+
+// dispatchTax pairs every engine/dispatch-warm* row with its
+// engine/dispatch-replay* twin: the tax is the per-job difference, the
+// time the greedy decisions cost in context (cache state, queue
+// lengths and all).
+func dispatchTax(lines []benchLine) []dispatchTaxRow {
+	byName := make(map[string]benchLine, len(lines))
+	for _, l := range lines {
+		byName[l.Name] = l
+	}
+	var rows []dispatchTaxRow
+	for _, l := range lines {
+		suffix, ok := strings.CutPrefix(l.Name, "engine/dispatch-warm")
+		if !ok {
+			continue
+		}
+		rep, ok := byName["engine/dispatch-replay"+suffix]
+		if !ok || l.NsPerJob == 0 {
+			continue
+		}
+		rows = append(rows, dispatchTaxRow{
+			Name:           l.Name,
+			GreedyNsPerJob: l.NsPerJob,
+			ReplayNsPerJob: rep.NsPerJob,
+			TaxNsPerJob:    l.NsPerJob - rep.NsPerJob,
+			TaxShare:       (l.NsPerJob - rep.NsPerJob) / l.NsPerJob,
+		})
+	}
+	return rows
 }

@@ -15,14 +15,6 @@ import (
 	"treesched/internal/tree"
 )
 
-// DisableBoundPruning, when set, makes the greedy assigners score
-// every eligible leaf in leaf order instead of descending candidates
-// by the admissible distance bound. The selected leaf is identical
-// either way (the pruning argument is exact, see Assign); the knob
-// exists for the differential tests and for benchmarking the pruning's
-// effect. Not safe to toggle while an engine is running.
-var DisableBoundPruning bool
-
 // GreedyConfig tunes the paper's assignment rule.
 type GreedyConfig struct {
 	// Eps is the ε of the analysis; the distance term weighs
@@ -39,6 +31,13 @@ type GreedyConfig struct {
 	// constant; experiment B5 shows a weight of ~1 (plain path work
 	// P_{j,v}) performs better in practice.
 	DistanceWeight float64
+	// DisableBoundPruning makes the rule score every eligible leaf in
+	// leaf order instead of descending candidates by the admissible
+	// distance bound (and stopping at the first idle branch). The
+	// selected leaf is identical either way (the pruning argument is
+	// exact, see GreedyIdentical.Assign); the knob exists for the
+	// differential tests and for benchmarking the pruning's effect.
+	DisableBoundPruning bool
 }
 
 func (c GreedyConfig) validate() {
@@ -87,15 +86,13 @@ func FPrime(q *sim.Query, a *sim.Arrival, v tree.NodeID) float64 {
 }
 
 // dispatchOrder caches the depth-ascending visit order of one
-// candidate leaf set. Keyed by the tree and the leaf contents (an
-// owned copy — eligibleLeaves may return freshly allocated slices, so
-// slice identity would be unsound under address reuse); in steady
-// state every arrival sees the same root-origin leaf list and the
-// order is computed once. Assigners holding one are not goroutine-safe
-// (like the other stateful assigners, e.g. sched.RoundRobin).
+// candidate leaf set. An arrival's candidate set is a function of the
+// tree and its origin alone (eligibleLeaves returns tree-owned
+// slices), so orders are cached per origin and built once per tree.
+// Assigners holding one are not goroutine-safe (like the other
+// stateful assigners, e.g. sched.RoundRobin).
 type dispatchOrder struct {
-	tree   *tree.Tree
-	leaves []tree.NodeID
+	built  bool
 	order  []int32
 	groups []branchGroup
 }
@@ -108,13 +105,14 @@ type branchGroup struct {
 	leaf  tree.NodeID // lowest-index leaf of the run (the representative)
 	pos   int32       // its index in the candidate slice (tie-break rank)
 	depth int32
+	// next indexes the first group of the next depth (len(groups) at
+	// the deepest): where the descent resumes after an idle branch.
+	next int32
 }
 
-// rebuild recomputes the cached order and groups for a new candidate
-// set.
+// rebuild computes the order and groups of a candidate set.
 func (d *dispatchOrder) rebuild(t *tree.Tree, leaves []tree.NodeID) {
-	d.tree = t
-	d.leaves = append(d.leaves[:0], leaves...)
+	d.built = true
 	d.order = d.order[:0]
 	for i := range leaves {
 		d.order = append(d.order, int32(i))
@@ -136,26 +134,49 @@ func (d *dispatchOrder) rebuild(t *tree.Tree, leaves []tree.NodeID) {
 			lastB, lastD = b, dep
 		}
 	}
+	next := int32(len(d.groups))
+	for i := len(d.groups) - 1; i >= 0; i-- {
+		if i+1 < len(d.groups) && d.groups[i+1].depth != d.groups[i].depth {
+			next = int32(i + 1)
+		}
+		d.groups[i].next = next
+	}
 }
 
-// of returns indices into leaves sorted by (depth, index) ascending —
-// the admissible-bound order of the pruned descent.
-func (d *dispatchOrder) of(t *tree.Tree, leaves []tree.NodeID) []int32 {
-	if d.tree != t || !slices.Equal(d.leaves, leaves) {
-		d.rebuild(t, leaves)
-	}
-	return d.order
+// dispatchOrders holds the cached orders of one tree: root-origin
+// arrivals use root; interior origins index byOrigin, allocated at the
+// first such arrival.
+type dispatchOrders struct {
+	tree     *tree.Tree
+	root     dispatchOrder
+	byOrigin []dispatchOrder
 }
 
-// groupsOf returns the (branch, depth) run groups of the candidates in
-// the same depth-ascending order. Two non-adjacent runs of one key
-// yield two groups; that only costs a duplicate (memoized) evaluation
-// and never changes the winner.
-func (d *dispatchOrder) groupsOf(t *tree.Tree, leaves []tree.NodeID) []branchGroup {
-	if d.tree != t || !slices.Equal(d.leaves, leaves) {
-		d.rebuild(t, leaves)
+// get returns the order of the arrival's candidate set, leaves (which
+// must be eligibleLeaves' answer for origin). Indices run into leaves
+// sorted by (depth, index) ascending — the admissible-bound order of
+// the pruned descent — and groups are the (branch, depth) runs in the
+// same order. Two non-adjacent runs of one key yield two groups; that
+// only costs a duplicate evaluation and never changes the winner.
+func (d *dispatchOrders) get(t *tree.Tree, origin tree.NodeID, leaves []tree.NodeID) *dispatchOrder {
+	if d.tree != t {
+		// Holding the tree keeps it alive, so pointer identity is a
+		// sound key.
+		d.tree = t
+		d.root.built = false
+		d.byOrigin = nil
 	}
-	return d.groups
+	o := &d.root
+	if origin != 0 {
+		if d.byOrigin == nil {
+			d.byOrigin = make([]dispatchOrder, t.NumNodes())
+		}
+		o = &d.byOrigin[origin]
+	}
+	if !o.built {
+		o.rebuild(t, leaves)
+	}
+	return o
 }
 
 // GreedyIdentical is the paper's assignment rule for the identical
@@ -164,7 +185,7 @@ func (d *dispatchOrder) groupsOf(t *tree.Tree, leaves []tree.NodeID) []branchGro
 //	argmin_{v ∈ L} { F(j,v) + (6/ε²)·d_v·p_j }.
 type GreedyIdentical struct {
 	Cfg GreedyConfig
-	ord dispatchOrder
+	ord dispatchOrders
 }
 
 // NewGreedyIdentical constructs the identical-endpoint greedy rule.
@@ -178,8 +199,8 @@ func NewGreedyIdentical(eps float64) *GreedyIdentical {
 func (g *GreedyIdentical) Name() string { return "GreedyIdentical" }
 
 // Assign implements sim.Assigner. F(j,v) depends only on the
-// root-adjacent ancestor R(v), so the engine's per-node query memo
-// shares it across all leaves below one branch.
+// root-adjacent ancestor R(v), so one evaluation per (branch, depth)
+// group covers every leaf of the group.
 //
 // Candidates are visited in depth-ascending order and the descent
 // stops at the first leaf whose admissible lower bound
@@ -190,10 +211,15 @@ func (g *GreedyIdentical) Name() string { return "GreedyIdentical" }
 // strictly exceeds the best cost so far: the bound is monotone in
 // depth (float multiplication and addition are monotone on
 // nonnegative operands), so every remaining candidate is strictly
-// worse than the incumbent and cannot even tie. Ties among scored
-// candidates resolve to the lowest leaf index, which is exactly the
-// first-minimum-wins rule of the plain left-to-right scan — the
-// selected leaf is bit-for-bit the unpruned argmin.
+// worse than the incumbent and cannot even tie. A group whose
+// root-adjacent node holds no available task attains the bound of its
+// depth exactly (AvailStats would return (0, 0), and 0 + p + p·0 = p
+// in floats), so every later group of that depth costs at least as
+// much and, having a larger position, loses any tie: the descent skips
+// straight to the next depth, where the bound test usually ends it.
+// Ties among scored candidates resolve to the lowest leaf index, which
+// is exactly the first-minimum-wins rule of the plain left-to-right
+// scan — the selected leaf is bit-for-bit the unpruned argmin.
 func (g *GreedyIdentical) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
 	g.Cfg.validate()
 	t := q.Tree()
@@ -205,7 +231,7 @@ func (g *GreedyIdentical) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
 	if !g.Cfg.DropDistanceTerm {
 		dw = g.Cfg.distanceWeight()
 	}
-	if DisableBoundPruning || dw == 0 {
+	if g.Cfg.DisableBoundPruning || dw == 0 {
 		// The cost depends on v only through (R(v), d_v): consecutive
 		// candidates sharing both reuse the identical cost bits, and an
 		// equal cost never displaces the incumbent, so skipping the
@@ -241,23 +267,38 @@ func (g *GreedyIdentical) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
 	}
 	// Every leaf of a (branch, depth) group shares the cost, so only
 	// each group's lowest-index member can win first-minimum-wins;
-	// scoring one representative per group is exact and calls F once
-	// per group instead of once per leaf.
+	// scoring one representative per group is exact and reads each
+	// root-adjacent node at most once per arrival, which is why the
+	// per-node memo is bypassed.
 	best := tree.None
 	bestCost := math.Inf(1)
 	bestPos := int32(math.MaxInt32)
-	for _, gr := range g.ord.groupsOf(t, leaves) {
+	groups := g.ord.get(t, a.Origin, leaves).groups
+	for i := 0; i < len(groups); {
+		gr := &groups[i]
 		distTerm := dw * float64(gr.depth) * a.Size
 		if distTerm+minF > bestCost {
 			break
 		}
-		var cost float64
+		cost := distTerm
+		idle := false
 		if !g.Cfg.DropVolumeTerm {
-			cost += F(q, a, gr.leaf)
+			r := t.Branch(gr.leaf)
+			if q.AvailCount(r) == 0 {
+				cost = a.Size + distTerm // F(j,v) = p_j exactly
+				idle = true
+			} else {
+				vh, c := q.AvailStatsUncached(r, a.Size, a.Release, a.ID)
+				cost = vh + a.Size + a.Size*float64(c) + distTerm
+			}
 		}
-		cost += distTerm
 		if cost < bestCost || (cost == bestCost && gr.pos < bestPos) {
 			best, bestCost, bestPos = gr.leaf, cost, gr.pos
+		}
+		if idle {
+			i = int(gr.next)
+		} else {
+			i++
 		}
 	}
 	return best
@@ -275,7 +316,7 @@ func (g *GreedyIdentical) Cost(q *sim.Query, a *sim.Arrival, v tree.NodeID) floa
 //	argmin_{v ∈ L} { F(j,v) + F'(j,v) + (6/ε²)·d_v·p_j }.
 type GreedyUnrelated struct {
 	Cfg GreedyConfig
-	ord dispatchOrder
+	ord dispatchOrders
 }
 
 // NewGreedyUnrelated constructs the unrelated-endpoint greedy rule.
@@ -305,7 +346,7 @@ func (g *GreedyUnrelated) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
 	if !g.Cfg.DropDistanceTerm {
 		dw = g.Cfg.distanceWeight()
 	}
-	if DisableBoundPruning || dw == 0 {
+	if g.Cfg.DisableBoundPruning || dw == 0 {
 		best := tree.None
 		bestCost := math.Inf(1)
 		for _, v := range leaves {
@@ -329,7 +370,7 @@ func (g *GreedyUnrelated) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
 	best := tree.None
 	bestCost := math.Inf(1)
 	bestPos := len(leaves)
-	for _, oi := range g.ord.of(t, leaves) {
+	for _, oi := range g.ord.get(t, a.Origin, leaves).order {
 		v := leaves[oi]
 		distTerm := dw * float64(t.Depth(v)) * a.Size
 		if distTerm+minF > bestCost {
@@ -354,14 +395,12 @@ func (g *GreedyUnrelated) Cost(q *sim.Query, a *sim.Arrival, v tree.NodeID) floa
 }
 
 // eligibleLeaves honors the arbitrary-origin extension: jobs released
-// at an interior node may only be assigned below it.
+// at an interior node may only be assigned below it, and a job
+// released at a leaf stays there. Both answers are tree-owned slices,
+// so the per-arrival path does not allocate.
 func eligibleLeaves(q *sim.Query, a *sim.Arrival) []tree.NodeID {
 	if a.Origin == 0 {
 		return q.Tree().Leaves()
 	}
-	t := q.Tree()
-	if t.IsLeaf(a.Origin) {
-		return []tree.NodeID{a.Origin}
-	}
-	return t.SubtreeLeaves(a.Origin)
+	return q.Tree().SubtreeLeaves(a.Origin)
 }

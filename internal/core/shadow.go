@@ -39,6 +39,9 @@ type ShadowConfig struct {
 	RootAdjSpeed, RouterSpeed, LeafSpeed float64
 	// Options are the engine options for the inner simulation.
 	Options sim.Options
+	// DisableBoundPruning is passed to the inner greedy rule (see
+	// GreedyConfig).
+	DisableBoundPruning bool
 }
 
 // NewShadow builds the broomstick of t and the inner simulation.
@@ -63,9 +66,13 @@ func NewShadow(t *tree.Tree, cfg ShadowConfig) (*Shadow, error) {
 	bs = &tree.Broomstick{Reduced: reduced, Original: bs.Original, ToOriginal: bs.ToOriginal, ToReduced: bs.ToReduced}
 	sh := &Shadow{bs: bs, inner: sim.New(reduced, cfg.Options)}
 	if cfg.Unrelated {
-		sh.pick = NewGreedyUnrelated(cfg.Eps)
+		g := NewGreedyUnrelated(cfg.Eps)
+		g.Cfg.DisableBoundPruning = cfg.DisableBoundPruning
+		sh.pick = g
 	} else {
-		sh.pick = NewGreedyIdentical(cfg.Eps)
+		g := NewGreedyIdentical(cfg.Eps)
+		g.Cfg.DisableBoundPruning = cfg.DisableBoundPruning
+		sh.pick = g
 	}
 	return sh, nil
 }

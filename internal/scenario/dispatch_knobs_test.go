@@ -3,27 +3,29 @@ package scenario
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
-	"treesched/internal/core"
 	"treesched/internal/rng"
 	"treesched/internal/sim"
 )
 
-// runKnobsOff runs sc with the dispatch fast paths force-disabled:
-// epoch memoization in the Query accessors and bound pruning in the
-// greedy assigners both fall back to their straight-line reference
-// code. The knobs are package globals, so they are flipped only for
-// the duration of this (sequentially executed) run.
+// runKnobsOff runs sc with the dispatch fast paths disabled: epoch
+// memoization in the Query accessors and bound pruning in the greedy
+// assigners both fall back to their straight-line reference code. The
+// knobs are per-instance options, so concurrent tests never see them.
 func runKnobsOff(t *testing.T, sc *Scenario, shards int) (*sim.Result, error, []sim.Slice) {
 	t.Helper()
-	sim.DisableDispatchMemo = true
-	core.DisableBoundPruning = true
-	defer func() {
-		sim.DisableDispatchMemo = false
-		core.DisableBoundPruning = false
-	}()
-	return runWithShards(t, sc, shards)
+	c := *sc
+	c.Engine.Shards = shards
+	in, err := c.Build()
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	if err := in.useReferenceDispatch(); err != nil {
+		t.Fatalf("reference dispatch: %v", err)
+	}
+	return runWarm(t, newRunner(in))
 }
 
 // ndjsonBytes serializes a result the way the CLI does — stats header
@@ -49,6 +51,7 @@ func ndjsonBytes(t *testing.T, res *sim.Result) []byte {
 // cannot win. Both the sequential and the sharded engine are held to
 // the contract, including scenarios that legitimately fail.
 func TestDispatchKnobsDifferential(t *testing.T) {
+	t.Parallel()
 	topos := []string{"fattree:4,1,2", "fattree:8,1,2", "fattree:2,2,2", "star:8", "caterpillar:4,2", "broomstick:6,2,2", "random:4,3,3"}
 	policies := []string{"sjf", "fifo", "srpt", "ps", "lcfs", "wsjf"}
 	assigners := []string{"greedy", "shadow", "jsq", "leastvolume"}
@@ -72,6 +75,7 @@ func TestDispatchKnobsDifferential(t *testing.T) {
 			line += " maxweight=4"
 		}
 		t.Run(fmt.Sprintf("case%02d", i), func(t *testing.T) {
+			t.Parallel()
 			sc, err := ParseCompact(line)
 			if err != nil {
 				t.Fatalf("%s: %v", line, err)
@@ -91,4 +95,74 @@ func TestDispatchKnobsDifferential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDispatchKnobsWindows holds the greedy fast paths to the
+// reference dispatch, byte for byte (NDJSON and slice log), in the
+// regimes that pick between them: overloaded speed-1 trees, whose
+// root-adjacent windows run past the short-window bound and take the
+// snapshot, against speed-1.5 trees, whose windows stay short and
+// whose idle branches end the descent; packetized jobs, which put
+// several tasks of one ID in a window; PS and SRPT, where the running
+// task's key or share drifts between events; and trees of unequal
+// depth, where the idle exit meets depth pruning.
+func TestDispatchKnobsWindows(t *testing.T) {
+	t.Parallel()
+	const common = " size=uniform:1,16 class=0.5 assigner=greedy"
+	lines := []string{
+		"topo=fattree:2,2,2 speed=1 n=1500 load=1.05 policy=sjf seed=1 slices" + common,
+		"topo=fattree:8,1,2 speed=1.5 n=1500 load=0.95 policy=sjf seed=2 slices" + common,
+		"topo=fattree:2,2,2 speed=1 n=500 load=1.05 policy=sjf seed=3 packetized slices" + common,
+		"topo=fattree:2,2,2 speed=1.5 n=500 load=0.95 policy=sjf seed=4 packetized slices" + common,
+		"topo=fattree:4,1,2 speed=1 n=1500 load=1.05 policy=ps seed=5" + common,
+		"topo=fattree:4,1,2 speed=1.5 n=1500 load=0.95 policy=ps seed=6" + common,
+		"topo=fattree:4,1,2 speed=1 n=1500 load=1.05 policy=srpt seed=7 slices" + common,
+		"topo=fattree:4,1,2 speed=1.5 n=1500 load=0.95 policy=srpt seed=8 slices" + common,
+		"topo=broomstick:6,2,2 speed=1.5 n=1500 load=0.95 policy=sjf seed=9 slices" + common,
+		"topo=broomstick:6,2,2 speed=1 n=1500 load=1.05 policy=srpt seed=10 slices" + common,
+		"topo=random:4,3,3 speed=1.5 n=1500 load=0.95 policy=sjf seed=11 slices" + common,
+		"topo=random:4,3,3 speed=1 n=1500 load=1.05 policy=sjf seed=12 slices" + common,
+	}
+	for i, line := range lines {
+		t.Run(fmt.Sprintf("case%02d", i), func(t *testing.T) {
+			t.Parallel()
+			fast, fastSlices := runCold(t, line, false)
+			ref, refSlices := runCold(t, line, true)
+			if !bytes.Equal(fast, ref) {
+				t.Fatalf("%s: NDJSON output diverges between fast and reference dispatch", line)
+			}
+			if !reflect.DeepEqual(fastSlices, refSlices) {
+				t.Fatalf("%s: slice logs diverge (%d vs %d)", line, len(fastSlices), len(refSlices))
+			}
+		})
+	}
+}
+
+// runCold builds and runs a scenario line on a fresh engine, with the
+// reference dispatch when reference is set, and returns its NDJSON and
+// slice log.
+func runCold(t *testing.T, line string, reference bool) ([]byte, []sim.Slice) {
+	t.Helper()
+	sc, err := ParseCompact(line)
+	if err != nil {
+		t.Fatalf("%s: %v", line, err)
+	}
+	in, err := sc.Build()
+	if err != nil {
+		t.Fatalf("%s: %v", line, err)
+	}
+	if reference {
+		if err := in.useReferenceDispatch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := in.Run()
+	if err != nil {
+		t.Fatalf("%s: %v", line, err)
+	}
+	var slices []sim.Slice
+	if sc.Engine.RecordSlices {
+		slices = append(slices, res.Sim.Slices()...)
+	}
+	return ndjsonBytes(t, res), slices
 }

@@ -129,6 +129,24 @@ type AssignerContext struct {
 	Unrelated bool
 	// Seed feeds randomized assigners verbatim (rng.New(Seed)).
 	Seed uint64
+	// Reference builds the greedy rules (also the shadow's) on their
+	// straight-line reference path: no bound pruning, and no dispatch
+	// memo in the shadow's inner engine. Decisions are identical; the
+	// differential tests compare the two.
+	Reference bool
+}
+
+// greedyIdentical and greedyUnrelated build the paper's rules for ctx.
+func greedyIdentical(ctx AssignerContext) sim.Assigner {
+	g := core.NewGreedyIdentical(ctx.Eps)
+	g.Cfg.DisableBoundPruning = ctx.Reference
+	return g
+}
+
+func greedyUnrelated(ctx AssignerContext) sim.Assigner {
+	g := core.NewGreedyUnrelated(ctx.Eps)
+	g.Cfg.DisableBoundPruning = ctx.Reference
+	return g
 }
 
 // AssignerEntry is one named leaf-assignment rule.
@@ -332,27 +350,31 @@ func init() {
 		// Theorem 2 rule, identical workloads the Theorem 1 rule.
 		Build: func(ctx AssignerContext) (sim.Assigner, error) {
 			if ctx.Unrelated {
-				return core.NewGreedyUnrelated(ctx.Eps), nil
+				return greedyUnrelated(ctx), nil
 			}
-			return core.NewGreedyIdentical(ctx.Eps), nil
+			return greedyIdentical(ctx), nil
 		},
 	})
 	RegisterAssigner(AssignerEntry{
 		Name: "greedy-identical",
 		Build: func(ctx AssignerContext) (sim.Assigner, error) {
-			return core.NewGreedyIdentical(ctx.Eps), nil
+			return greedyIdentical(ctx), nil
 		},
 	})
 	RegisterAssigner(AssignerEntry{
 		Name: "greedy-unrelated",
 		Build: func(ctx AssignerContext) (sim.Assigner, error) {
-			return core.NewGreedyUnrelated(ctx.Eps), nil
+			return greedyUnrelated(ctx), nil
 		},
 	})
 	RegisterAssigner(AssignerEntry{
 		Name: "shadow",
 		Build: func(ctx AssignerContext) (sim.Assigner, error) {
-			return core.NewShadow(ctx.Tree, core.ShadowConfig{Eps: ctx.Eps, Unrelated: ctx.Unrelated})
+			return core.NewShadow(ctx.Tree, core.ShadowConfig{
+				Eps: ctx.Eps, Unrelated: ctx.Unrelated,
+				DisableBoundPruning: ctx.Reference,
+				Options:             sim.Options{DisableDispatchMemo: ctx.Reference},
+			})
 		},
 	})
 	RegisterAssigner(AssignerEntry{

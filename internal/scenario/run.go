@@ -28,6 +28,10 @@ type Instance struct {
 	// running.
 	Opts sim.Options
 
+	// reference selects the straight-line reference dispatch (see
+	// useReferenceDispatch).
+	reference bool
+
 	// workload is the resolved workload copy (topology-derived
 	// defaults filled in), kept so NewSource can stream lazily
 	// generated scenarios: those leave Trace nil and draw jobs on
@@ -187,11 +191,26 @@ func (in *Instance) NewAssigner() (sim.Assigner, error) {
 		Eps:       sc.EffEps(),
 		Unrelated: sc.Workload.unrelated(),
 		Seed:      sc.EffAssignerSeed(),
+		Reference: in.reference,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	return asg, nil
+}
+
+// useReferenceDispatch switches the instance to the straight-line
+// reference dispatch: the engine options disable the query memo and
+// the assigner (rebuilt here, and by every later NewAssigner) disables
+// the greedy bound pruning. Results are identical; the differential
+// tests hold the fast paths to that. Call it before building an engine
+// from Opts.
+func (in *Instance) useReferenceDispatch() error {
+	in.reference = true
+	in.Opts.DisableDispatchMemo = true
+	asg, err := in.NewAssigner()
+	in.Assigner = asg
+	return err
 }
 
 // Run executes the built instance (packetized, streaming, or
@@ -242,7 +261,12 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{Instance: in, s: sim.New(in.Tree, in.Opts)}, nil
+	return newRunner(in), nil
+}
+
+// newRunner wraps a built instance with its warm engine.
+func newRunner(in *Instance) *Runner {
+	return &Runner{Instance: in, s: sim.New(in.Tree, in.Opts)}
 }
 
 // Sim exposes the warm engine (instrumentation readers).

@@ -89,6 +89,15 @@ func runWithShards(t *testing.T, sc *Scenario, shards int) (*sim.Result, error, 
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
+	return runWarm(t, r)
+}
+
+// runWarm runs r twice (the second time after a Reset) and returns the
+// second run's outcome and slice log, failing if the warm rerun is not
+// reproducible.
+func runWarm(t *testing.T, r *Runner) (*sim.Result, error, []sim.Slice) {
+	t.Helper()
+	shards := r.Instance.Opts.Workers
 	res, runErr := r.Run()
 	res2, runErr2 := r.Run()
 	if (runErr == nil) != (runErr2 == nil) {
@@ -101,7 +110,7 @@ func runWithShards(t *testing.T, sc *Scenario, shards int) (*sim.Result, error, 
 		t.Fatalf("warm rerun (shards=%d) is not reproducible", shards)
 	}
 	var slices []sim.Slice
-	if c.Engine.RecordSlices {
+	if r.Instance.Scenario.Engine.RecordSlices {
 		slices = append(slices, r.Sim().Slices()...)
 	}
 	return res2, nil, slices

@@ -15,16 +15,13 @@ import (
 
 // eligible returns the leaves a job may be assigned to: all leaves,
 // or only those below the job's origin in the arbitrary-origin
-// extension.
+// extension (the origin itself when it is a leaf). Both answers are
+// tree-owned slices; callers must not modify them.
 func eligible(q *sim.Query, a *sim.Arrival) []tree.NodeID {
 	if a.Origin == 0 {
 		return q.Tree().Leaves()
 	}
-	t := q.Tree()
-	if t.IsLeaf(a.Origin) {
-		return []tree.NodeID{a.Origin}
-	}
-	return t.SubtreeLeaves(a.Origin)
+	return q.Tree().SubtreeLeaves(a.Origin)
 }
 
 // ClosestLeaf assigns the job to a leaf of minimum depth (minimum hop

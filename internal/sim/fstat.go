@@ -38,6 +38,9 @@
 // prepass can refresh them without cross-shard state. Processor
 // sharing drains every available task at once, invalidating the
 // stored-Remaining correction, so PS mode bypasses the snapshots.
+// Short windows bypass them too: AvailStats answers a node holding at
+// most shortWindow tasks with one pass over its queue (query.go), so a
+// node whose windows stay short never activates a snapshot.
 package sim
 
 import (

@@ -65,6 +65,9 @@ func volumesClose(a, b float64) bool {
 // queues it perturbs keep mixing.
 type fstatChecker struct {
 	t *testing.T
+	// windows counts the queried windows by length, so tests can show
+	// both sides of the short-window bound were exercised.
+	windows map[int]int
 }
 
 func (c *fstatChecker) Name() string { return "fstatChecker" }
@@ -78,12 +81,18 @@ func (c *fstatChecker) Assign(q *Query, a *Arrival) tree.NodeID {
 		wantVH := naiveVolumeHigher(s, v, a.Size, a.Release, a.ID)
 		wantCL := naiveCountLarger(s, v, a.Size)
 		wantVol := naiveVolume(s, v)
+		if c.windows != nil {
+			c.windows[q.AvailCount(v)]++
+		}
 		gotVH, gotCL := q.AvailStats(v, a.Size, a.Release, a.ID)
 		if !volumesClose(gotVH, wantVH) {
 			t.Errorf("job %d node %d: AvailStats volHigher=%v, scan=%v", a.ID, v, gotVH, wantVH)
 		}
 		if gotCL != wantCL {
 			t.Errorf("job %d node %d: AvailStats countLarger=%d, scan=%d", a.ID, v, gotCL, wantCL)
+		}
+		if vh, cl := q.AvailStatsUncached(v, a.Size, a.Release, a.ID); vh != gotVH || cl != gotCL {
+			t.Errorf("job %d node %d: AvailStatsUncached=(%v,%d), AvailStats=(%v,%d)", a.ID, v, vh, cl, gotVH, gotCL)
 		}
 		if got := q.AvailVolumeHigher(v, a.Size, a.Release, a.ID); !volumesClose(got, wantVH) {
 			t.Errorf("job %d node %d: AvailVolumeHigher=%v, scan=%v", a.ID, v, got, wantVH)
@@ -110,9 +119,13 @@ func (c *fstatChecker) Assign(q *Query, a *Arrival) tree.NodeID {
 }
 
 // TestFStatMatchesScan drives loaded runs under every policy (PS takes
-// the scan fallback; the rest take the snapshot) and cross-checks each
-// query against the naive scan at every arrival.
+// the scan fallback; the rest take the queue pass for short windows and
+// the snapshot for long ones) and cross-checks each query against the
+// naive scan at every arrival. The non-PS runs must query windows just
+// below and just above shortWindow, so both AvailStats paths and the
+// switch between them are covered.
 func TestFStatMatchesScan(t *testing.T) {
+	t.Parallel()
 	tr := tree.FatTree(4, 2, 2)
 	trace := shardTestTrace(t, 11, 300, 4)
 	for _, pol := range []Policy{nil, FIFO{}, SRPT{}, WSJF{}, LCFS{}, PS{}} {
@@ -121,8 +134,18 @@ func TestFStatMatchesScan(t *testing.T) {
 			name = pol.Name()
 		}
 		t.Run(name, func(t *testing.T) {
-			if _, err := Run(tr, trace, &fstatChecker{t: t}, Options{Policy: pol}); err != nil {
+			t.Parallel()
+			c := &fstatChecker{t: t, windows: map[int]int{}}
+			if _, err := Run(tr, trace, c, Options{Policy: pol}); err != nil {
 				t.Fatal(err)
+			}
+			if _, ps := pol.(PS); ps {
+				return
+			}
+			for _, w := range []int{shortWindow - 1, shortWindow, shortWindow + 1, shortWindow + 2} {
+				if c.windows[w] == 0 {
+					t.Errorf("no query saw a window of %d tasks (short-window bound %d): %v", w, shortWindow, c.windows)
+				}
 			}
 		})
 	}
@@ -132,6 +155,7 @@ func TestFStatMatchesScan(t *testing.T) {
 // split into packets: packet siblings share (PrioOnCur, Release, ID),
 // exercising the snapshot's distinct-ID de-duplication.
 func TestFStatMatchesScanPacketized(t *testing.T) {
+	t.Parallel()
 	tr := tree.FatTree(2, 2, 2)
 	trace := shardTestTrace(t, 12, 150, 2)
 	if _, err := RunPacketized(tr, trace, &fstatChecker{t: t}, Options{}); err != nil {

@@ -46,10 +46,16 @@ func (q *Query) AvailVolumeHigher(v tree.NodeID, size, release float64, id int) 
 	}
 	sc := &n.scratch
 	epoch := q.s.shards[n.shard].epoch
-	if !DisableDispatchMemo && sc.epoch == epoch && sc.size == size && sc.release == release && sc.id == id {
+	if !q.s.opts.DisableDispatchMemo && sc.epoch == epoch && sc.size == size && sc.release == release && sc.id == id {
 		// A full AvailStats record for these arguments is current;
 		// recomputing would reproduce the same bits (see fstat.stats).
 		return sc.volHigher
+	}
+	if n.avail.len() <= shortWindow {
+		// The same rule as AvailStats, so a memo hit above returns the
+		// bits this path computes.
+		vh, _ := q.s.scanStats(n, size, release, id)
+		return vh
 	}
 	f := q.s.refreshFStat(n)
 	return f.volumeHigher(n, size, release, id)
@@ -66,7 +72,7 @@ func (q *Query) AvailCountLarger(v tree.NodeID, size float64) int {
 		// a matching epoch and size answers it regardless of the
 		// (release, id) it was probed with.
 		sc := &n.scratch
-		if !DisableDispatchMemo && sc.epoch == q.s.shards[n.shard].epoch && sc.size == size {
+		if !q.s.opts.DisableDispatchMemo && sc.epoch == q.s.shards[n.shard].epoch && sc.size == size {
 			return sc.count
 		}
 		f := q.s.refreshFStat(n)
@@ -122,7 +128,7 @@ func (q *Query) AvailVolume(v tree.NodeID) float64 {
 	}
 	sc := &n.scratch
 	epoch := q.s.shards[n.shard].epoch
-	if !DisableDispatchMemo && sc.volEpoch == epoch {
+	if !q.s.opts.DisableDispatchMemo && sc.volEpoch == epoch {
 		return sc.vol
 	}
 	f := q.s.refreshFStat(n)
@@ -131,10 +137,23 @@ func (q *Query) AvailVolume(v tree.NodeID) float64 {
 	return vol
 }
 
+// shortWindow is the longest available set AvailStats answers with
+// one pass over the node's queue. Longer windows are answered from the
+// sorted snapshot, whose binary searches win once the pass gets long
+// (speed-1 runs with long router queues); under speed augmentation the
+// queried nodes almost always hold 0–2 tasks, where the pass is
+// cheaper than the snapshot's refresh and searches (DESIGN.md §3.4).
+const shortWindow = 8
+
 // AvailStats returns AvailVolumeHigher and AvailCountLarger of v in
-// one call — the two node-local terms of the paper's F(j,v), answered
-// from a single snapshot refresh. The greedy assigners use this on
-// the root-adjacent node of every candidate branch.
+// one call — the two node-local terms of the paper's F(j,v). A node
+// holding at most shortWindow available tasks is answered by one pass
+// over its queue; a longer window from a single snapshot refresh. The
+// result is memoized per node and epoch; AvailStatsUncached skips the
+// memo for callers that read each node once per arrival. A read
+// records nothing in the slice log, so a caller may skip reads it can
+// prove irrelevant (DESIGN.md §3.4 lists the last-ulp traces a read
+// still leaves).
 func (q *Query) AvailStats(v tree.NodeID, size, release float64, id int) (volHigher float64, countLarger int) {
 	n := &q.s.nodes[v]
 	if q.s.ps {
@@ -142,14 +161,59 @@ func (q *Query) AvailStats(v tree.NodeID, size, release float64, id int) (volHig
 	}
 	sc := &n.scratch
 	epoch := q.s.shards[n.shard].epoch
-	if !DisableDispatchMemo && sc.epoch == epoch && sc.size == size && sc.release == release && sc.id == id {
+	if !q.s.opts.DisableDispatchMemo && sc.epoch == epoch && sc.size == size && sc.release == release && sc.id == id {
 		return sc.volHigher, sc.count
 	}
-	f := q.s.refreshFStat(n)
-	vh, c := f.stats(n, size, release, id)
+	vh, c := q.s.availStats(n, size, release, id)
 	sc.epoch, sc.size, sc.release, sc.id = epoch, size, release, id
 	sc.volHigher, sc.count = vh, c
 	return vh, c
+}
+
+// AvailStatsUncached is AvailStats without the per-node memo, for
+// callers that read each node at most once per arrival (the grouped
+// greedy descent), where the lookup cannot hit. The answer is the
+// same bits AvailStats returns.
+func (q *Query) AvailStatsUncached(v tree.NodeID, size, release float64, id int) (volHigher float64, countLarger int) {
+	if q.s.ps {
+		return q.AvailVolumeHigher(v, size, release, id), q.AvailCountLarger(v, size)
+	}
+	return q.s.availStats(&q.s.nodes[v], size, release, id)
+}
+
+// availStats answers AvailStats for a non-PS node: a short window by
+// scanning the queue, a long one from the snapshot.
+func (s *Sim) availStats(n *nodeState, size, release float64, id int) (volHigher float64, countLarger int) {
+	if n.avail.len() > shortWindow {
+		return s.refreshFStat(n).stats(n, size, release, id)
+	}
+	return s.scanStats(n, size, release, id)
+}
+
+// scanStats answers AvailStats by one pass over the node's queue.
+func (s *Sim) scanStats(n *nodeState, size, release float64, id int) (volHigher float64, countLarger int) {
+	s.syncNode(n)
+	ts := n.avail.tasks()
+	for i, js := range ts {
+		if higherPriority(js.PrioOnCur, js.Release, js.ID, js.seq, size, release, id, maxSeq) {
+			volHigher += js.Remaining
+		}
+		if js.PrioOnCur > size && !countedBefore(ts[:i], js.ID, size) {
+			countLarger++
+		}
+	}
+	return volHigher, countLarger
+}
+
+// countedBefore reports whether ts holds a task of job id with
+// PrioOnCur > size — a packet sibling the count already includes.
+func countedBefore(ts []*JobState, id int, size float64) bool {
+	for _, js := range ts {
+		if js.ID == id && js.PrioOnCur > size {
+			return true
+		}
+	}
+	return false
 }
 
 // AvailCount returns the number of jobs available on v.

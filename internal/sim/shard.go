@@ -48,7 +48,7 @@ type shardState struct {
 
 	// slices holds the shard's exact processing record when
 	// RecordSlices; entries below mergeFloor predate the latest
-	// migration and must not be extended by sync's merge.
+	// migration and must not be extended by a reopening slice.
 	slices     []Slice
 	mergeFloor int
 

@@ -112,6 +112,12 @@ type nodeState struct {
 	// carrying the current value is live.
 	finishSeq uint64
 	lastSync  float64
+	// sliceFrom is the start of the running task's open slice under
+	// RecordSlices (-1 when none is open). lastSlice indexes the node's
+	// latest closed slice in its shard log (-1 for none): a slice that
+	// reopens at the instant it closed extends that entry.
+	sliceFrom float64
+	lastSlice int
 
 	busyTime float64
 	workDone float64
@@ -125,9 +131,9 @@ type nodeState struct {
 // arguments. The epoch is bumped on every state change that could move
 // an answer (queue membership, running-task switch, clock advance), so
 // a matching stamp proves the cached value is still the exact result —
-// recomputing it would reproduce the same bits. DisableDispatchMemo
-// bypasses the lookup (never the store), which is how the differential
-// tests pin that equivalence.
+// recomputing it would reproduce the same bits.
+// Options.DisableDispatchMemo bypasses the lookup (never the store),
+// which is how the differential tests pin that equivalence.
 type dispatchScratch struct {
 	// epoch/size/release/id stamp the AvailStats record below.
 	epoch     uint64
@@ -140,14 +146,6 @@ type dispatchScratch struct {
 	volEpoch uint64
 	vol      float64
 }
-
-// DisableDispatchMemo, when set, makes the Query accessors skip the
-// per-node memo lookup and recompute every answer from the snapshot.
-// The stores and the snapshot arithmetic are identical either way, so
-// results are bit-identical with the memo on or off; the knob exists
-// for the differential tests and for benchmarking the memo's effect.
-// Not safe to toggle while an engine is running.
-var DisableDispatchMemo bool
 
 type finishEvent struct {
 	at   float64
@@ -222,6 +220,12 @@ type Options struct {
 	// (completions must be observed in one global order). Not
 	// supported by RunPacketized.
 	RetainJobs int
+	// DisableDispatchMemo makes the Query accessors skip the per-node
+	// memo lookup and recompute every answer. The stores and the
+	// arithmetic are identical either way, so results are bit-identical
+	// with the memo on or off; the knob exists for the differential
+	// tests and for benchmarking the memo's effect.
+	DisableDispatchMemo bool
 	// Sink, when non-nil, receives every completed job's metrics in
 	// completion order (e.g. an NDJSONSink writing per-job records to
 	// disk), so the full record can live on disk instead of in RAM.
@@ -259,6 +263,9 @@ type Migration struct {
 }
 
 // Slice is one maximal interval during which a node processed a task.
+// A slice is recorded when it closes — at a task switch, a finish, an
+// outage or a migration — so the log depends only on the schedule,
+// never on when nodes happened to be read.
 type Slice struct {
 	Node     tree.NodeID
 	Job      int
@@ -363,6 +370,7 @@ func New(t *tree.Tree, opts Options) *Sim {
 		n.baseSpeed = t.Speed(n.id)
 		n.speed = n.baseSpeed
 		n.leaf = t.IsLeaf(n.id)
+		n.sliceFrom, n.lastSlice = -1, -1
 	}
 	s.assigned = make([][]*JobState, len(t.Leaves()))
 	s.upstreamWork = make([]float64, len(t.Leaves()))
@@ -497,6 +505,7 @@ func (s *Sim) Reset(opts Options) {
 		n.running = nil
 		n.finishSeq = 0
 		n.lastSync = 0
+		n.sliceFrom, n.lastSlice = -1, -1
 		n.busyTime = 0
 		n.workDone = 0
 		n.fracContrib = 0
@@ -831,18 +840,34 @@ func (s *Sim) syncNodeSlow(n *nodeState, sh *shardState) {
 	n.running.Remaining -= done
 	n.busyTime += dt
 	n.workDone += done
-	if s.opts.RecordSlices {
-		// Merge with the previous slice when the same task continued —
-		// but never across a migration (mergeFloor): a re-dispatched
-		// task restarting on the same node is a new journey and the
-		// auditor checks the two legs separately.
-		if k := len(sh.slices) - 1; k >= 0 && k >= sh.mergeFloor && sh.slices[k].Node == n.id &&
-			sh.slices[k].Seq == n.running.seq && sh.slices[k].To == from {
-			sh.slices[k].To = now
-		} else {
-			sh.slices = append(sh.slices, Slice{Node: n.id, Job: n.running.ID, Seq: n.running.seq, From: from, To: now})
-		}
+}
+
+// closeSlice ends the node's open slice at the shard clock (callers
+// check RecordSlices); the caller has synced the node and not yet
+// replaced n.running. An empty slice
+// is dropped. A slice that resumes the node's previous one (same task,
+// reopened the instant it closed) extends that entry — but never
+// across a migration (mergeFloor): a re-dispatched task restarting on
+// the same node is a new journey, and the auditor checks the two legs
+// separately.
+func (s *Sim) closeSlice(n *nodeState, sh *shardState) {
+	from := n.sliceFrom
+	if from < 0 {
+		return
 	}
+	n.sliceFrom = -1
+	to := sh.now
+	if to <= from {
+		return
+	}
+	js := n.running
+	if k := n.lastSlice; k >= sh.mergeFloor && k < len(sh.slices) && sh.slices[k].Node == n.id &&
+		sh.slices[k].Seq == js.seq && sh.slices[k].To == from {
+		sh.slices[k].To = to
+		return
+	}
+	n.lastSlice = len(sh.slices)
+	sh.slices = append(sh.slices, Slice{Node: n.id, Job: js.ID, Seq: js.seq, From: from, To: to})
 }
 
 // reschedule re-evaluates which task node v should run, scheduling or
@@ -874,6 +899,9 @@ func (s *Sim) rescheduleWith(v tree.NodeID, force bool) {
 	if best == n.running && !force {
 		return
 	}
+	if s.opts.RecordSlices && (best != n.running || n.speed <= 0) {
+		s.closeSlice(n, sh)
+	}
 	if old := n.running; old != nil && old != best {
 		// Preemption without a membership change (the policy key can
 		// drift under SRPT): the preempted task keeps its queue slot
@@ -902,6 +930,9 @@ func (s *Sim) rescheduleWith(v tree.NodeID, force bool) {
 		// Outage: the task stays selected but cannot finish; the next
 		// fault boundary restores the speed and reschedules.
 		return
+	}
+	if s.opts.RecordSlices && n.sliceFrom < 0 {
+		n.sliceFrom = sh.now // best starts, or resumes after an outage
 	}
 	sh.pushEvent(finishEvent{
 		at:   sh.now + best.Remaining/n.speed,
@@ -1338,6 +1369,9 @@ func (s *Sim) migrate(js *JobState, to tree.NodeID) {
 	}
 	s.availRemove(cur, js)
 	if n.running == js {
+		if s.opts.RecordSlices {
+			s.closeSlice(n, src)
+		}
 		n.running = nil
 		n.finishSeq++
 		if n.leaf {
@@ -1421,6 +1455,9 @@ func (s *Sim) handleFinish(v tree.NodeID) {
 	sh.eventCount++
 
 	s.availRemove(v, js)
+	if s.opts.RecordSlices {
+		s.closeSlice(n, sh)
+	}
 	n.running = nil
 	n.finishSeq++
 	if n.leaf {
@@ -1510,11 +1547,13 @@ func (s *Sim) Active() int {
 // Slices returns the exact processing record (requires
 // Options.RecordSlices). Slices are grouped by shard (root-child
 // subtree, in root-adjacent order) and within each shard appear in the
-// order work was performed; consecutive slices of one task on one node
-// are merged. With a single root branch this is plain time order. The
-// grouping is identical in sequential and parallel runs. The returned
-// slice is an engine-owned buffer reused by the next call after a
-// Reset; copy it to retain.
+// order they closed; each is one maximal interval of one task on one
+// node. A slice still open (a task processing right now) is recorded
+// when it closes, so after Drain the record is complete. The log is a
+// function of the schedule alone: identical in sequential and parallel
+// runs, and whatever the assigner read. The returned slice is an
+// engine-owned buffer reused by the next call after a Reset; copy it
+// to retain.
 func (s *Sim) Slices() []Slice {
 	if !s.opts.RecordSlices {
 		panic("sim: Slices requires Options.RecordSlices")

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"treesched/internal/faults"
 	"treesched/internal/rng"
 	"treesched/internal/tree"
 	"treesched/internal/workload"
@@ -630,6 +632,49 @@ func TestRecordSlices(t *testing.T) {
 	}
 	if count0 != 2 {
 		t.Fatalf("job 0 relay slices = %d, want 2 (preempted once)", count0)
+	}
+}
+
+// readingRR is rrAssigner preceded by a read of every node, which
+// syncs each one at every arrival.
+type readingRR struct{ rrAssigner }
+
+func (r *readingRR) Assign(q *Query, a *Arrival) tree.NodeID {
+	for v := 1; v < q.Tree().NumNodes(); v++ {
+		q.AvailStats(tree.NodeID(v), a.Size, a.Release, a.ID)
+	}
+	return r.rrAssigner.Assign(q, a)
+}
+
+// TestSlicesIndependentOfReads pins the slice log to the schedule: an
+// assigner that reads (and so syncs) every node at every arrival must
+// leave the same log, entry for entry, as one that reads nothing and
+// makes the same decisions — also across the outages of a fault plan.
+func TestSlicesIndependentOfReads(t *testing.T) {
+	tr := tree.FatTree(2, 2, 2)
+	trace := shardTestTrace(t, 21, 300, 2)
+	plan := &faults.Plan{Events: []faults.Event{
+		{Kind: faults.Outage, Node: tr.RootAdjacent()[0], Start: 20, End: 35},
+		{Kind: faults.Brownout, Node: tr.Leaves()[1], Start: 40, End: 70, Factor: 0.5},
+	}}
+	sched, err := faults.Compile(tr, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range []Policy{nil, SRPT{}} {
+		opts := Options{Policy: pol, RecordSlices: true, Instrument: true, Faults: sched}
+		quiet, err := Run(tr, trace, &rrAssigner{}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append([]Slice(nil), quiet.Sim.Slices()...)
+		loud, err := Run(tr, trace, &readingRR{}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := loud.Sim.Slices(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("policy %v: reads changed the slice log (%d vs %d entries)", pol, len(got), len(want))
+		}
 	}
 }
 

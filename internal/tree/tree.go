@@ -72,8 +72,13 @@ type Tree struct {
 	// leafIndex[v] = position of leaf v within leaves, -1 otherwise.
 	leafIndex []int32
 	// paths[leafIndex] = path from R(v) to the leaf inclusive.
-	paths  [][]NodeID
-	height int // max depth over all nodes
+	paths [][]NodeID
+	// dfsLeaves lists every leaf in depth-first (child-order) order, so
+	// the leaves of any subtree form one contiguous run; L(v) is
+	// dfsLeaves[subLo[v]:subHi[v]].
+	dfsLeaves    []NodeID
+	subLo, subHi []int32
+	height       int // max depth over all nodes
 }
 
 // Builder incrementally constructs a Tree. Nodes are added parent
@@ -220,6 +225,7 @@ func (b *Builder) Finalize() (*Tree, error) {
 		}
 		t.paths[li] = path
 	}
+	t.indexSubtrees()
 	b.nodes = nil // the builder must not alias the finalized tree
 	return t, nil
 }
@@ -291,21 +297,33 @@ func (t *Tree) Path(leaf NodeID) []NodeID {
 	return t.paths[li]
 }
 
-// SubtreeLeaves returns L(v): all leaves in the subtree rooted at v.
-func (t *Tree) SubtreeLeaves(v NodeID) []NodeID {
-	var out []NodeID
+// indexSubtrees records every node's leaf run in one depth-first
+// walk, so SubtreeLeaves answers without walking or allocating.
+func (t *Tree) indexSubtrees() {
+	t.dfsLeaves = make([]NodeID, 0, len(t.leaves))
+	t.subLo = make([]int32, len(t.nodes))
+	t.subHi = make([]int32, len(t.nodes))
 	var walk func(NodeID)
 	walk = func(u NodeID) {
+		t.subLo[u] = int32(len(t.dfsLeaves))
 		if t.nodes[u].Kind == KindLeaf {
-			out = append(out, u)
-			return
+			t.dfsLeaves = append(t.dfsLeaves, u)
 		}
 		for _, c := range t.nodes[u].Children {
 			walk(c)
 		}
+		t.subHi[u] = int32(len(t.dfsLeaves))
 	}
-	walk(v)
-	return out
+	walk(0)
+}
+
+// SubtreeLeaves returns L(v): all leaves in the subtree rooted at v,
+// in depth-first child order ([v] for a leaf). The slice is shared
+// tree state, computed once at construction; callers must not modify
+// it.
+func (t *Tree) SubtreeLeaves(v NodeID) []NodeID {
+	lo, hi := t.subLo[v], t.subHi[v]
+	return t.dfsLeaves[lo:hi:hi]
 }
 
 // WithUniformSpeed returns a copy of t whose non-root nodes all run at
